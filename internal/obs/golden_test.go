@@ -45,12 +45,44 @@ func TestGoldenTriangleTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	golden := filepath.Join("testdata", "triangle_trace.jsonl")
+	checkGoldenTrace(t, "triangle_trace.jsonl", buf.Bytes())
+}
+
+// TestGoldenTreeTrace pins the JSONL trace of a small seeded tree
+// color-coding run: P_4 in C_6 with an injected coloring that plants a
+// properly-colored copy, over two repetitions. It covers the tree node
+// program's broadcast masks round by round, so an optimisation of that
+// program must leave the file byte-identical. Regenerate with
+//
+//	go test ./internal/obs -run Golden -update
+func TestGoldenTreeTrace(t *testing.T) {
+	nw := congest.NewNetwork(graph.Cycle(6))
+	coloring := func(id congest.NodeID, rep int) int { return (int(id) + rep) % 4 }
+	var buf bytes.Buffer
+	tr := obs.NewJSONLTracerOptions(&buf, obs.JSONLOptions{OmitTimings: true})
+	rep, err := core.DetectTree(nw, core.TreeConfig{Tree: graph.Path(4), Reps: 2, Coloring: coloring, Seed: 1, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Detected {
+		t.Fatal("P_4 not detected under a planted coloring of C_6")
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkGoldenTrace(t, "tree_trace.jsonl", buf.Bytes())
+}
+
+// checkGoldenTrace compares got with testdata/name, rewriting the file
+// first under -update, and reports the first diverging line.
+func checkGoldenTrace(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,8 +90,8 @@ func TestGoldenTriangleTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		gotLines := bytes.Split(buf.Bytes(), []byte("\n"))
+	if !bytes.Equal(got, want) {
+		gotLines := bytes.Split(got, []byte("\n"))
 		wantLines := bytes.Split(want, []byte("\n"))
 		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
 			var g, w []byte
