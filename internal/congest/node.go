@@ -229,6 +229,12 @@ func (e *Env) Broadcast(payload bitio.BitString) {
 	}
 }
 
+// Port returns the port (index into Neighbors()) of neighbor id, or -1
+// if id is not adjacent. Under duplicate identifiers it returns the first
+// port carrying id, so a per-port table keyed through Port collapses
+// senders that share an identifier, as a table keyed by ID would.
+func (e *Env) Port(id NodeID) int { return e.neighborIndex(id) }
+
 // neighborIndex returns the first index of id in the sorted neighbor list,
 // or -1.
 func (e *Env) neighborIndex(id NodeID) int {
