@@ -171,15 +171,38 @@ func (w *Writer) WriteBit(b byte) {
 // WriteUint appends v as a fixed-width big-endian field. It panics if v
 // needs more than width bits or width is not in [0,64].
 func (w *Writer) WriteUint(v uint64, width int) {
+	checkUint(v, width)
+	for i := width - 1; i >= 0; i-- {
+		w.WriteBit(byte((v >> uint(i)) & 1))
+	}
+}
+
+func checkUint(v uint64, width int) {
 	if width < 0 || width > 64 {
 		panic(fmt.Sprintf("bitio: invalid width %d", width))
 	}
 	if width < 64 && v>>uint(width) != 0 {
 		panic(fmt.Sprintf("bitio: value %d does not fit in %d bits", v, width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(byte((v >> uint(i)) & 1))
+}
+
+// UintPair returns a (aw bits) followed by b (bw bits), each a fixed-width
+// big-endian field, in a single allocation: the same bits as WriteUint(a,
+// aw) then WriteUint(b, bw) on a fresh Writer. It panics like WriteUint.
+func UintPair(a uint64, aw int, b uint64, bw int) BitString {
+	checkUint(a, aw)
+	checkUint(b, bw)
+	s := BitString{data: make([]byte, (aw+bw+7)/8), n: aw + bw}
+	for i := 0; i < s.n; i++ {
+		var bit uint64
+		if i < aw {
+			bit = a >> uint(aw-1-i) & 1
+		} else {
+			bit = b >> uint(aw+bw-1-i) & 1
+		}
+		s.data[i>>3] |= byte(bit) << (7 - uint(i&7))
 	}
+	return s
 }
 
 // WriteBits appends all bits of s.

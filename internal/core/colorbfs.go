@@ -36,10 +36,7 @@ type cbfsCodec struct {
 }
 
 func (c cbfsCodec) encode(m cbfsMsg) bitio.BitString {
-	w := bitio.NewWriter()
-	w.WriteUint(uint64(m.origin), c.idBits)
-	w.WriteUint(uint64(m.hop), c.hopBits)
-	return w.BitString()
+	return bitio.UintPair(uint64(m.origin), c.idBits, uint64(m.hop), c.hopBits)
 }
 
 func (c cbfsCodec) decode(s bitio.BitString) (cbfsMsg, bool) {
@@ -66,24 +63,30 @@ func colorOf(env *congest.Env, coloring func(id congest.NodeID, rep int) int, re
 }
 
 // cbfsState is the per-repetition token-relay state shared by the linear
-// detector and Phase I of the even-cycle algorithm.
+// detector and Phase I of the even-cycle algorithm. A node keeps one for
+// the whole run and resets it at each repetition, so the queue and the
+// forwarded set keep their storage across repetitions.
 type cbfsState struct {
 	codec     cbfsCodec
 	cycleLen  int
 	color     int
-	queue     []cbfsMsg
+	queue     []cbfsMsg // pending tokens are queue[head:]
+	head      int
 	forwarded map[congest.NodeID]bool
 	detected  bool
 	overload  bool
 }
 
-func newCBFSState(codec cbfsCodec, cycleLen, color int) *cbfsState {
-	return &cbfsState{
-		codec:     codec,
-		cycleLen:  cycleLen,
-		color:     color,
-		forwarded: make(map[congest.NodeID]bool),
+// reset starts a repetition with the given color.
+func (s *cbfsState) reset(color int) {
+	s.color = color
+	s.queue, s.head = s.queue[:0], 0
+	if s.forwarded == nil {
+		s.forwarded = make(map[congest.NodeID]bool)
+	} else {
+		clear(s.forwarded)
 	}
+	s.detected, s.overload = false, false
 }
 
 // start seeds the node's own token if it is an eligible origin.
@@ -115,15 +118,18 @@ func (s *cbfsState) step(env *congest.Env, inbox []congest.Message) {
 		s.forwarded[tok.origin] = true
 		s.queue = append(s.queue, cbfsMsg{origin: tok.origin, hop: tok.hop + 1})
 	}
-	if len(s.queue) > 0 {
-		env.Broadcast(s.codec.encode(s.queue[0]))
-		s.queue = s.queue[1:]
+	if s.head < len(s.queue) {
+		env.Broadcast(s.codec.encode(s.queue[s.head]))
+		s.head++
+		if s.head == len(s.queue) {
+			s.queue, s.head = s.queue[:0], 0
+		}
 	}
 }
 
 // drainCheck records whether the queue failed to drain within its budget.
 func (s *cbfsState) drainCheck() {
-	if len(s.queue) > 0 {
+	if s.head < len(s.queue) {
 		s.overload = true
 	}
 }
@@ -182,10 +188,8 @@ type LinearCycleReport struct {
 // baseline that Theorem 1.1 improves on for even L.
 type linearCycleNode struct {
 	cfg    LinearCycleConfig
-	codec  cbfsCodec
 	perRep int
-	rep    int
-	state  *cbfsState
+	state  cbfsState
 }
 
 func (ln *linearCycleNode) Init(env *congest.Env) {}
@@ -198,8 +202,7 @@ func (ln *linearCycleNode) Round(env *congest.Env, inbox []congest.Message) {
 		return
 	}
 	if offset == 0 {
-		ln.rep = rep
-		ln.state = newCBFSState(ln.codec, ln.cfg.CycleLen, colorOf(env, ln.cfg.Coloring, rep, ln.cfg.CycleLen))
+		ln.state.reset(colorOf(env, ln.cfg.Coloring, rep, ln.cfg.CycleLen))
 		ln.state.start(env)
 	}
 	ln.state.step(env, inbox)
@@ -222,7 +225,8 @@ func DetectCycleLinear(nw *congest.Network, cfg LinearCycleConfig) (*LinearCycle
 	codec := cbfsCodec{idBits: nw.IDBits(), hopBits: 8}
 	perRep := nw.N() + cfg.CycleLen + 1
 	factory := func() congest.Node {
-		return &linearCycleNode{cfg: cfg, codec: codec, perRep: perRep}
+		return &linearCycleNode{cfg: cfg, perRep: perRep,
+			state: cbfsState{codec: codec, cycleLen: cfg.CycleLen}}
 	}
 	res, err := runRobust(nw, factory, congest.Config{
 		B:         codec.idBits + codec.hopBits,

@@ -251,7 +251,7 @@ type evenCycleNode struct {
 	plan *evenCyclePlan
 
 	// Phase I state.
-	p1 *cbfsState
+	p1 cbfsState
 
 	// Phase II state.
 	removed    bool            // this node is high-degree and sits out
@@ -296,7 +296,7 @@ func (en *evenCycleNode) phase1(env *congest.Env, inbox []congest.Message, r int
 	rep, offset := (r-1)/p.r1, (r-1)%p.r1
 	if offset == 0 {
 		color := colorOf(env, p.cfg.Coloring, rep, p.cycle)
-		en.p1 = newCBFSState(p.codec, p.cycle, color)
+		en.p1.reset(color)
 		// Only high-degree color-0 nodes originate tokens.
 		if env.Degree() >= p.highDeg {
 			en.p1.start(env)
@@ -488,7 +488,9 @@ func DetectEvenCycle(nw *congest.Network, cfg EvenCycleConfig) (*EvenCycleReport
 		cfg.PhaseIIReps = 1
 	}
 	plan := newEvenCyclePlan(nw, cfg)
-	factory := func() congest.Node { return &evenCycleNode{plan: plan} }
+	factory := func() congest.Node {
+		return &evenCycleNode{plan: plan, p1: cbfsState{codec: plan.codec, cycleLen: plan.cycle}}
+	}
 	res, err := runRobust(nw, factory, congest.Config{
 		B:         plan.bandwidth(),
 		MaxRounds: plan.total,

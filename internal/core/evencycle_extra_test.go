@@ -157,7 +157,8 @@ func TestCBFSCodecRejectsMalformed(t *testing.T) {
 func TestDetectorsIgnoreForeignPayloads(t *testing.T) {
 	// A cbfs node receiving a phase-2-shaped payload (different length)
 	// must not crash or misbehave — decoders skip malformed input.
-	s := newCBFSState(cbfsCodec{idBits: 10, hopBits: 8}, 4, 1)
+	s := &cbfsState{codec: cbfsCodec{idBits: 10, hopBits: 8}, cycleLen: 4}
+	s.reset(1)
 	nw := congest.NewNetwork(graph.Path(2))
 	factory := func() congest.Node {
 		return &congest.FuncNode{OnRound: func(env *congest.Env, inbox []congest.Message) {
