@@ -317,3 +317,41 @@ func TestWriteBitsUnaligned(t *testing.T) {
 		}
 	}
 }
+
+// Property: UintPair yields exactly the bits and storage of two WriteUint
+// calls on a fresh Writer, for every width split including 0 and 64.
+func TestQuickUintPairMatchesWriter(t *testing.T) {
+	f := func(a, b uint64, aw, bw uint8) bool {
+		awi, bwi := int(aw%65), int(bw%65)
+		if awi < 64 {
+			a &= 1<<uint(awi) - 1
+		}
+		if bwi < 64 {
+			b &= 1<<uint(bwi) - 1
+		}
+		w := NewWriter()
+		w.WriteUint(a, awi)
+		w.WriteUint(b, bwi)
+		want := w.BitString()
+		got := UintPair(a, awi, b, bwi)
+		return got.Equal(want) && len(got.Bytes()) == len(want.Bytes())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestUintPairPanicsOnOverflow(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("UintPair accepted a value wider than its field")
+		}
+	}()
+	UintPair(1, 1, 4, 2)
+}
+
+func TestUintPairSingleAllocation(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { UintPair(12345, 30, 7, 8) }); a != 1 {
+		t.Fatalf("UintPair allocates %.0f times, want 1", a)
+	}
+}
