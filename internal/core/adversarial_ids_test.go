@@ -74,7 +74,7 @@ func TestEvenCycleScrambledIDs(t *testing.T) {
 	}
 	// And soundness on a scrambled tree.
 	tree := scrambledNetwork(graph.RandomTree(25, rng), rng)
-	rep2, err := DetectEvenCycle(tree, EvenCycleConfig{K: 2, Seed: 5})
+	rep2, err := DetectEvenCycle(tree, EvenCycleConfig{K: 2, RunOptions: RunOptions{Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,8 @@ func TestTreeDetectorAllocFree(t *testing.T) {
 		for _, parallel := range []bool{false, true} {
 			allocs := func(reps int) float64 {
 				return minAllocs(func() {
-					if _, err := DetectTree(nw, TreeConfig{Tree: tree, Reps: reps, Seed: 3, Parallel: parallel}); err != nil {
+					cfg := TreeConfig{Tree: tree, Reps: reps, RunOptions: RunOptions{Seed: 3, Parallel: parallel}}
+					if _, err := DetectTree(nw, cfg); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -84,7 +85,8 @@ func TestLinearCycleDetectorAllocs(t *testing.T) {
 		allocs := func(reps int) (float64, int64) {
 			var tokens int64
 			a := minAllocs(func() {
-				rep, err := DetectCycleLinear(nw, LinearCycleConfig{CycleLen: 4, Reps: reps, Coloring: coloring, Parallel: parallel})
+				rep, err := DetectCycleLinear(nw, LinearCycleConfig{CycleLen: 4, Reps: reps, Coloring: coloring,
+					RunOptions: RunOptions{Parallel: parallel}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -83,7 +83,8 @@ func TestCBFSStateReuseMatchesFreshState(t *testing.T) {
 
 		var got, want tracedOutcome
 		if c%2 == 0 {
-			cfg := LinearCycleConfig{CycleLen: 3 + rng.Intn(4), Reps: 1 + rng.Intn(4), Seed: seed, Parallel: parallel, Faults: faults}
+			cfg := LinearCycleConfig{CycleLen: 3 + rng.Intn(4), Reps: 1 + rng.Intn(4),
+				RunOptions: RunOptions{Seed: seed, Parallel: parallel, Faults: faults}}
 			name += fmt.Sprintf(" linear L=%d reps=%d", cfg.CycleLen, cfg.Reps)
 			got = traced(t, func(tr obs.Tracer) (bool, congest.Stats, error) {
 				cfg.Tracer = tr
@@ -97,13 +98,15 @@ func TestCBFSStateReuseMatchesFreshState(t *testing.T) {
 					return &freshLinearNode{linearCycleNode{cfg: cfg, perRep: perRep,
 						state: cbfsState{codec: codec, cycleLen: cfg.CycleLen}}}
 				}
-				res, err := runRobust(nw, factory, congest.Config{B: codec.idBits + codec.hopBits,
-					MaxRounds: perRep*cfg.Reps + 1, Seed: seed, Parallel: parallel}, faults, 0, nil, tr)
-				return res.Rejected(), res.Stats, err
+				run := RunOptions{Seed: seed, Parallel: parallel, Faults: faults, Tracer: tr}
+				out, err := runRobust(nw, factory, congest.Config{B: codec.idBits + codec.hopBits,
+					MaxRounds: perRep*cfg.Reps + 1}, run, nil)
+				return out.Detected, out.Stats, err
 			})
 		} else {
 			cfg := EvenCycleConfig{K: 2 + rng.Intn(2), TuranConstant: []float64{0.01, 0.1, 2}[rng.Intn(3)],
-				PhaseIReps: 1 + rng.Intn(3), PhaseIIReps: 1, Seed: seed, Parallel: parallel, Faults: faults}
+				PhaseIReps: 1 + rng.Intn(3), PhaseIIReps: 1,
+				RunOptions: RunOptions{Seed: seed, Parallel: parallel, Faults: faults}}
 			name += fmt.Sprintf(" even k=%d c=%v reps=%d", cfg.K, cfg.TuranConstant, cfg.PhaseIReps)
 			got = traced(t, func(tr obs.Tracer) (bool, congest.Stats, error) {
 				cfg.Tracer = tr
@@ -113,9 +116,9 @@ func TestCBFSStateReuseMatchesFreshState(t *testing.T) {
 			want = traced(t, func(tr obs.Tracer) (bool, congest.Stats, error) {
 				plan := newEvenCyclePlan(nw, cfg)
 				factory := func() congest.Node { return &freshEvenNode{evenCycleNode{plan: plan}} }
-				res, err := runRobust(nw, factory, congest.Config{B: plan.bandwidth(),
-					MaxRounds: plan.total, Seed: seed, Parallel: parallel}, faults, 0, nil, tr)
-				return res.Rejected(), res.Stats, err
+				out, err := runRobust(nw, factory, congest.Config{B: plan.bandwidth(), MaxRounds: plan.total},
+					RunOptions{Seed: seed, Parallel: parallel, Faults: faults, Tracer: tr}, nil)
+				return out.Detected, out.Stats, err
 			})
 		}
 		if got.err != nil || want.err != nil {

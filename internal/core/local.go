@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"subgraph/internal/bitio"
 	"subgraph/internal/congest"
 	"subgraph/internal/graph"
-	"subgraph/internal/obs"
 )
 
 // LOCAL-model H-detection (the Section 1 observation that subgraph
@@ -21,28 +19,17 @@ import (
 // LocalConfig configures the LOCAL-model detector.
 type LocalConfig struct {
 	// H is the pattern graph.
-	H        *graph.Graph
-	Seed     int64
-	Parallel bool
-	// Faults optionally injects a delivery-phase fault plan.
-	Faults *congest.FaultPlan
-	// Deadline aborts the run after a wall-clock budget (0 = none); on
-	// expiry the partial report is returned alongside the error.
-	Deadline time.Duration
-	// Tracer, when non-nil, streams run events (rounds, messages,
-	// faults, node transitions, timings) to the observability layer in
-	// internal/obs; nil disables instrumentation at zero cost.
-	Tracer obs.Tracer
+	H *graph.Graph
+	RunOptions
 }
 
-// LocalReport is the outcome of the LOCAL detector.
+// LocalReport is the outcome of the LOCAL detector; its Bandwidth is 0
+// (unbounded).
 type LocalReport struct {
-	Detected bool
-	Rounds   int
+	Outcome
 	// MaxMessageBits is the largest single message — the quantity CONGEST
 	// forbids.
 	MaxMessageBits int
-	Stats          congest.Stats
 }
 
 type localNode struct {
@@ -108,19 +95,10 @@ func DetectLocal(nw *congest.Network, cfg LocalConfig) (*LocalReport, error) {
 	factory := func() congest.Node {
 		return &localNode{h: cfg.H, idBits: idBits, radius: radius}
 	}
-	res, err := runRobust(nw, factory, congest.Config{
-		B:         0, // LOCAL: unbounded
-		MaxRounds: radius + 2,
-		Seed:      cfg.Seed,
-		Parallel:  cfg.Parallel,
-	}, cfg.Faults, cfg.Deadline, nil, cfg.Tracer)
-	if res == nil {
+	// B = 0: LOCAL messages are unbounded.
+	out, err := runRobust(nw, factory, congest.Config{MaxRounds: radius + 2}, cfg.RunOptions, nil)
+	if out == nil {
 		return nil, err
 	}
-	return &LocalReport{
-		Detected:       res.Rejected(),
-		Rounds:         res.Stats.Rounds,
-		MaxMessageBits: res.Stats.MaxEdgeBitsRound,
-		Stats:          res.Stats,
-	}, err
+	return &LocalReport{Outcome: *out, MaxMessageBits: out.Stats.MaxEdgeBitsRound}, err
 }

@@ -20,7 +20,7 @@ func TestTriangleDetectionUnderFaults(t *testing.T) {
 
 	// A fully lossy network hides the triangle from the plain detector.
 	lossy, err := DetectTriangle(congest.NewNetwork(g), TriangleConfig{
-		Faults: &congest.FaultPlan{DropRate: 1},
+		RunOptions: RunOptions{Faults: &congest.FaultPlan{DropRate: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +34,8 @@ func TestTriangleDetectionUnderFaults(t *testing.T) {
 
 	// The resilient decorator recovers detection under moderate loss.
 	rec, err := DetectTriangle(congest.NewNetwork(g), TriangleConfig{
-		Faults:    &congest.FaultPlan{Seed: 3, DropRate: 0.3},
-		Resilient: &congest.ResilientConfig{MaxRetries: 4},
+		Resilient:  &congest.ResilientConfig{MaxRetries: 4},
+		RunOptions: RunOptions{Faults: &congest.FaultPlan{Seed: 3, DropRate: 0.3}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +52,8 @@ func TestTriangleDetectionUnderFaults(t *testing.T) {
 func TestDetectorDeadlineReturnsPartialReport(t *testing.T) {
 	g := graph.Cycle(64)
 	rep, err := DetectCycleLinear(congest.NewNetwork(g), LinearCycleConfig{
-		CycleLen: 4,
-		Deadline: time.Nanosecond,
+		CycleLen:   4,
+		RunOptions: RunOptions{Deadline: time.Nanosecond},
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v", err)

@@ -3,12 +3,10 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
 	"subgraph/internal/bitio"
 	"subgraph/internal/congest"
 	"subgraph/internal/graph"
-	"subgraph/internal/obs"
 )
 
 // Tree detection by color-coding dynamic programming (the constant-round
@@ -38,26 +36,14 @@ type TreeConfig struct {
 	Reps int
 	// Coloring optionally injects a coloring (id, rep) → {0..t-1}.
 	Coloring func(id congest.NodeID, rep int) int
-	Seed     int64
-	Parallel bool
-	// Faults optionally injects a delivery-phase fault plan.
-	Faults *congest.FaultPlan
-	// Deadline aborts the run after a wall-clock budget (0 = none); on
-	// expiry the partial report is returned alongside the error.
-	Deadline time.Duration
-	// Tracer, when non-nil, streams run events (rounds, messages,
-	// faults, node transitions, timings) to the observability layer in
-	// internal/obs; nil disables instrumentation at zero cost.
-	Tracer obs.Tracer
+	RunOptions
 }
 
 // TreeReport is the outcome of the tree detector.
 type TreeReport struct {
-	Detected     bool
-	Rounds       int
+	Outcome
+	// RoundsPerRep is the per-repetition round budget depth(T) + 2.
 	RoundsPerRep int
-	Bandwidth    int
-	Stats        congest.Stats
 }
 
 // treePlan precomputes the rooted structure of the pattern and the
@@ -225,20 +211,10 @@ func DetectTree(nw *congest.Network, cfg TreeConfig) (*TreeReport, error) {
 	}
 	plan := newTreePlan(cfg)
 	factory := func() congest.Node { return &treeNode{plan: plan} }
-	res, err := runRobust(nw, factory, congest.Config{
-		B:         plan.t,
-		MaxRounds: plan.perRep*cfg.Reps + 1,
-		Seed:      cfg.Seed,
-		Parallel:  cfg.Parallel,
-	}, cfg.Faults, cfg.Deadline, nil, cfg.Tracer)
-	if res == nil {
+	out, err := runRobust(nw, factory, congest.Config{B: plan.t, MaxRounds: plan.perRep*cfg.Reps + 1},
+		cfg.RunOptions, nil)
+	if out == nil {
 		return nil, err
 	}
-	return &TreeReport{
-		Detected:     res.Rejected(),
-		Rounds:       res.Stats.Rounds,
-		RoundsPerRep: plan.perRep,
-		Bandwidth:    plan.t,
-		Stats:        res.Stats,
-	}, err
+	return &TreeReport{Outcome: *out, RoundsPerRep: plan.perRep}, err
 }

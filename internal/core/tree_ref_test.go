@@ -139,22 +139,12 @@ func refDetectTree(nw *congest.Network, cfg TreeConfig) (*TreeReport, error) {
 	plan := newTreePlan(cfg)
 	children, order := refRootedTree(cfg.Tree)
 	factory := func() congest.Node { return &refTreeNode{plan: plan, children: children, order: order} }
-	res, err := runRobust(nw, factory, congest.Config{
-		B:         plan.t,
-		MaxRounds: plan.perRep*cfg.Reps + 1,
-		Seed:      cfg.Seed,
-		Parallel:  cfg.Parallel,
-	}, cfg.Faults, cfg.Deadline, nil, cfg.Tracer)
-	if res == nil {
+	out, err := runRobust(nw, factory, congest.Config{B: plan.t, MaxRounds: plan.perRep*cfg.Reps + 1},
+		cfg.RunOptions, nil)
+	if out == nil {
 		return nil, err
 	}
-	return &TreeReport{
-		Detected:     res.Rejected(),
-		Rounds:       res.Stats.Rounds,
-		RoundsPerRep: plan.perRep,
-		Bandwidth:    plan.t,
-		Stats:        res.Stats,
-	}, err
+	return &TreeReport{Outcome: *out, RoundsPerRep: plan.perRep}, err
 }
 
 // TestTreeNodeMatchesReference runs the production tree node program and
@@ -218,7 +208,8 @@ func TestTreeNodeMatchesReference(t *testing.T) {
 			faults = &congest.FaultPlan{Seed: rng.Int63(), DropRate: rng.Float64() * 0.3, CorruptRate: rng.Float64() * 0.2}
 		}
 		cfg := TreeConfig{Tree: tree, Reps: 1 + rng.Intn(8), Coloring: coloring,
-			Seed: rng.Int63(), Parallel: rng.Intn(2) == 1, Faults: faults}
+			RunOptions: RunOptions{Seed: rng.Int63(), Parallel: rng.Intn(2) == 1, Faults: faults},
+		}
 		name := fmt.Sprintf("case %d: t=%d n=%d ids=%s reps=%d parallel=%v faults=%+v",
 			c, tree.N(), host.N(), ids, cfg.Reps, cfg.Parallel, faults)
 		// The JSONL trace records every message payload, so equal traces

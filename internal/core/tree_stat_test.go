@@ -44,7 +44,7 @@ func TestTreeDetectionRateStatistical(t *testing.T) {
 		bound := 1 - math.Pow(1-perRep, reps)
 		hits := 0
 		for s := 0; s < trials; s++ {
-			rep, err := DetectTree(nw, TreeConfig{Tree: c.tree, Reps: reps, Seed: int64(s)})
+			rep, err := DetectTree(nw, TreeConfig{Tree: c.tree, Reps: reps, RunOptions: RunOptions{Seed: int64(s)}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,8 @@ func TestTreeNoFalsePositives(t *testing.T) {
 		for i, g := range hosts {
 			nw := congest.NewNetwork(g)
 			for s := int64(0); s < 10; s++ {
-				rep, err := DetectTree(nw, TreeConfig{Tree: c.tree, Reps: 64, Seed: s, Parallel: s%2 == 1})
+				rep, err := DetectTree(nw, TreeConfig{Tree: c.tree, Reps: 64,
+					RunOptions: RunOptions{Seed: s, Parallel: s%2 == 1}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -78,8 +78,10 @@ func E8EvenCycleDropSweep(k, n int, drops []float64, trials int, seed int64) []E
 		cfg := core.LinearCycleConfig{
 			CycleLen: 2 * k,
 			Coloring: core.PlantedColoring(nw, cyc, seed),
-			Seed:     seed + int64(trial),
-			Faults:   &congest.FaultPlan{Seed: seed + int64(trial)*31, DropRate: drop},
+			RunOptions: core.RunOptions{
+				Seed:   seed + int64(trial),
+				Faults: &congest.FaultPlan{Seed: seed + int64(trial)*31, DropRate: drop},
+			},
 		}
 		if resilient {
 			cfg.Resilient = &congest.ResilientConfig{}
@@ -102,8 +104,10 @@ func E8TriangleDropSweep(n int, p float64, drops []float64, trials int, seed int
 		g, _ := graph.PlantClique(base, 3, rng)
 		nw := congest.NewNetwork(g)
 		cfg := core.TriangleConfig{
-			Seed:   seed + int64(trial),
-			Faults: &congest.FaultPlan{Seed: seed + int64(trial)*31, DropRate: drop},
+			RunOptions: core.RunOptions{
+				Seed:   seed + int64(trial),
+				Faults: &congest.FaultPlan{Seed: seed + int64(trial)*31, DropRate: drop},
+			},
 		}
 		if resilient {
 			cfg.Resilient = &congest.ResilientConfig{}

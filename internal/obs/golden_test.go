@@ -34,7 +34,8 @@ func TestGoldenTriangleTrace(t *testing.T) {
 
 	var buf bytes.Buffer
 	tr := obs.NewJSONLTracerOptions(&buf, obs.JSONLOptions{OmitTimings: true})
-	rep, err := core.DetectTriangle(congest.NewNetwork(g), core.TriangleConfig{Seed: 1, Tracer: tr})
+	rep, err := core.DetectTriangle(congest.NewNetwork(g),
+		core.TriangleConfig{RunOptions: core.RunOptions{Seed: 1, Tracer: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,8 @@ func TestGoldenTreeTrace(t *testing.T) {
 	coloring := func(id congest.NodeID, rep int) int { return (int(id) + rep) % 4 }
 	var buf bytes.Buffer
 	tr := obs.NewJSONLTracerOptions(&buf, obs.JSONLOptions{OmitTimings: true})
-	rep, err := core.DetectTree(nw, core.TreeConfig{Tree: graph.Path(4), Reps: 2, Coloring: coloring, Seed: 1, Tracer: tr})
+	rep, err := core.DetectTree(nw, core.TreeConfig{Tree: graph.Path(4), Reps: 2, Coloring: coloring,
+		RunOptions: core.RunOptions{Seed: 1, Tracer: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,6 +183,12 @@ func TestFacadeErrorPaths(t *testing.T) {
 	if _, err := DetectLocal(nw, nil, Options{}); err == nil {
 		t.Fatal("nil pattern accepted by DetectLocal")
 	}
+	// The LOCAL detector has no resilient variant; like the other
+	// unsupported arms it refuses rather than running undecorated.
+	_, err := DetectLocal(nw, Path(3), Options{Resilient: true})
+	if want := "subgraph: resilient mode is not supported for LOCAL detection"; err == nil || err.Error() != want {
+		t.Fatalf("DetectLocal with Resilient: err %v, want %q", err, want)
+	}
 	if _, err := ListCliques(Complete(4), 1, 0); err == nil {
 		t.Fatal("s=1 accepted by ListCliques")
 	}
