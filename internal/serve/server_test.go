@@ -597,3 +597,42 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestEmptyHostEvenCycleJob is a regression test: an even-cycle job on
+// the empty graph panicked its worker goroutine, which took the whole
+// daemon down. The job must finish with no detection in 0 rounds and
+// the server must go on answering.
+func TestEmptyHostEvenCycleJob(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	empty, err := c.UploadGraph("n 0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := testEdgeList(t, 3)
+	full, err := c.UploadGraph(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range []JobSpec{
+		{Graph: empty.Digest, Pattern: "cycle:4"},
+		{Graph: empty.Digest, Pattern: "cycle:6"},
+		{Graph: full.Digest, Pattern: "triangle"},
+	} {
+		jv, status, err := c.SubmitJob(job)
+		if err != nil || (status != http.StatusAccepted && status != http.StatusOK) {
+			t.Fatalf("%s: submit (%d, %v)", job.Pattern, status, err)
+		}
+		if jv, err = c.WaitJob(jv.ID, 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if jv.State != StateDone {
+			t.Fatalf("%s: state %s (%s)", job.Pattern, jv.State, jv.Error)
+		}
+		if job.Graph == empty.Digest && (jv.Result.Detected || jv.Result.Rounds != 0) {
+			t.Fatalf("%s on the empty graph: detected=%v rounds=%d", job.Pattern, jv.Result.Detected, jv.Result.Rounds)
+		}
+		if job.Graph == full.Digest && !jv.Result.Detected {
+			t.Fatal("planted triangle missed after the empty-graph jobs")
+		}
+	}
+}
