@@ -17,6 +17,16 @@ import (
 // long the run continues, so a run of 400 rounds must allocate exactly as
 // much as a run of 50. Any per-round allocation shows up multiplied by
 // 350 and fails loudly.
+//
+// The Go runtime adds a few allocations of its own now and then, and
+// they only ever add. The parallel engine's workers exit asynchronously,
+// so the second run in a process starts its workers while the first
+// run's are still exiting, and the runtime allocates a second set of
+// goroutine descriptors (runtime.malg) once. And a GC cycle during a run
+// empties per-P runtime caches that the channel and WaitGroup parks draw
+// from, so that run and the next allocate a few objects more. Whichever
+// of the two runs is measured first would absorb them, so the guard
+// takes the least of three measurements, as core's minAllocs does.
 func steadyRunAllocs(t *testing.T, nw *Network, rounds int, parallel bool) float64 {
 	t.Helper()
 	payload := bitio.Uint(0x2a, 8)
@@ -31,7 +41,7 @@ func steadyRunAllocs(t *testing.T, nw *Network, rounds int, parallel bool) float
 	// MaxRounds is fixed across calls so setup-time capacities
 	// (PerRoundBits) cannot differ between the short and long run.
 	cfg := Config{B: 8, MaxRounds: 512, Parallel: parallel, Workers: 4}
-	return testing.AllocsPerRun(5, func() {
+	run := func() {
 		res, err := Run(nw, factory, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -39,7 +49,12 @@ func steadyRunAllocs(t *testing.T, nw *Network, rounds int, parallel bool) float
 		if res.Stats.Rounds != rounds {
 			t.Fatalf("rounds = %d, want %d", res.Stats.Rounds, rounds)
 		}
-	})
+	}
+	least := testing.AllocsPerRun(5, run)
+	for i := 0; i < 2; i++ {
+		least = min(least, testing.AllocsPerRun(5, run))
+	}
+	return least
 }
 
 func TestSteadyStateRoundZeroAllocsSequential(t *testing.T) {
