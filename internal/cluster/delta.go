@@ -6,11 +6,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"subgraph/internal/graph"
-	"subgraph/internal/kernel"
 	"subgraph/internal/serve"
 )
 
@@ -38,14 +36,14 @@ import (
 // handleGraphDelta routes POST /v1/graphs/{digest}/delta.
 func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 	if r.Draining() {
-		writeErr(w, http.StatusServiceUnavailable, "cluster is draining; submit elsewhere")
+		serve.WriteErr(w, http.StatusServiceUnavailable, "cluster is draining; submit elsewhere")
 		return
 	}
 	parentDigest := req.PathValue("digest")
 	// Pin the mirrored parent across the round-trip: upload churn must not
 	// evict the graph the mirror-side apply and the heal path both need.
 	if !r.store.Pin(parentDigest) {
-		writeErr(w, http.StatusNotFound,
+		serve.WriteErr(w, http.StatusNotFound,
 			"unknown graph digest %q: the parent is not mirrored here; re-upload the base graph and resubmit the delta",
 			parentDigest)
 		return
@@ -55,7 +53,7 @@ func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 
 	payload, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxUploadBytes))
 	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "reading delta: %v", err)
+		serve.WriteErr(w, http.StatusRequestEntityTooLarge, "reading delta: %v", err)
 		return
 	}
 	// Decode locally too — the router needs the edge lists to update its
@@ -64,7 +62,7 @@ func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&dreq); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding delta: %v", err)
+		serve.WriteErr(w, http.StatusBadRequest, "decoding delta: %v", err)
 		return
 	}
 
@@ -79,13 +77,13 @@ func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 			_, _ = w.Write(body)
 			return
 		}
-		writeErr(w, http.StatusServiceUnavailable, "no live worker could apply the delta; retry later")
+		serve.WriteErr(w, http.StatusServiceUnavailable, "no live worker could apply the delta; retry later")
 		return
 	}
 
 	var dv serve.DeltaView
 	if err := json.Unmarshal(body, &dv); err != nil {
-		writeErr(w, http.StatusBadGateway, "decoding worker delta response: %v", err)
+		serve.WriteErr(w, http.StatusBadGateway, "decoding worker delta response: %v", err)
 		return
 	}
 	r.reg.Counter(MetricGraphDeltas).Inc()
@@ -105,9 +103,14 @@ func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 					"mirror", childDigest, "worker", dv.Digest)
 			}
 			r.replicateChild(req.Context(), childDigest, applier.base)
-			if dv.Incremental {
-				r.seedLineageCache(parent, res.Graph, parentDigest, childDigest, res.Touched)
-			}
+			// The worker's churn verdict gates seeding; the adjacencies are
+			// built for this delta and dropped with it.
+			seeded, _ := serve.ForwardCountEntries(r.cache, r.krn, parent, res.Graph,
+				parentDigest, childDigest, res.Touched, dv.Incremental,
+				func() (*graph.BitAdjacency, *graph.BitAdjacency) {
+					return graph.NewBitAdjacency(parent), graph.NewBitAdjacency(res.Graph)
+				})
+			r.reg.Counter(MetricDeltaSeeded).Add(int64(seeded))
 		}
 	}
 
@@ -195,38 +198,4 @@ func (r *Router) replicateChild(ctx context.Context, childDigest, applierBase st
 		}(m)
 	}
 	wg.Wait()
-}
-
-// seedLineageCache forwards the parent's count-mode entries in the
-// cluster-shared cache to the child by incremental recounting, so a count
-// job on the successor answers at the router without touching the fleet.
-// Keys go through serve.SpecCacheKey — the same derivation workers use —
-// and the seeded envelopes are byte-identical to worker-computed results.
-func (r *Router) seedLineageCache(parent, child *graph.Graph, parentDigest, childDigest string, touched []int32) {
-	var pb, cb *graph.BitAdjacency
-	seeded := 0
-	for size := 2; size <= kernel.MaxCliqueSize; size++ {
-		pattern := "clique:" + strconv.Itoa(size)
-		pkey, err := serve.SpecCacheKey(serve.JobSpec{Graph: parentDigest, Pattern: pattern, Mode: serve.ModeCount})
-		if err != nil {
-			continue
-		}
-		res, ok := r.cache.Get(pkey)
-		if !ok || res.Count == nil {
-			continue
-		}
-		if pb == nil {
-			pb, cb = graph.NewBitAdjacency(parent), graph.NewBitAdjacency(child)
-		}
-		cnt := r.krn.CountDelta(parent, pb, child, cb, size, touched, *res.Count)
-		ckey, err := serve.SpecCacheKey(serve.JobSpec{Graph: childDigest, Pattern: pattern, Mode: serve.ModeCount})
-		if err != nil {
-			continue
-		}
-		r.cache.Put(ckey, serve.CountResult(cnt, cb.Mode()))
-		seeded++
-	}
-	if seeded > 0 {
-		r.reg.Counter(MetricDeltaSeeded).Add(int64(seeded))
-	}
 }

@@ -19,7 +19,7 @@ import (
 // client never renegotiates.
 type cjob struct {
 	id      string
-	key     string // serve.SpecCacheKey — the cluster-shared cache identity
+	key     string // serve.CheckedSpec.Key — the cluster-shared cache identity
 	spec    serve.JobSpec
 	trace   bool
 	created time.Time
@@ -228,14 +228,14 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 
 	if r.Draining() {
 		r.reg.Counter(MetricJobsDraining).Inc()
-		writeErr(w, http.StatusServiceUnavailable, "cluster is draining; submit elsewhere")
+		serve.WriteErr(w, http.StatusServiceUnavailable, "cluster is draining; submit elsewhere")
 		return
 	}
 	var spec serve.JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, r.cfg.MaxUploadBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding job spec: %v", err)
+		serve.WriteErr(w, http.StatusBadRequest, "decoding job spec: %v", err)
 		return
 	}
 	r.reg.Counter(MetricJobsSubmitted).Inc()
@@ -244,30 +244,28 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 	root := tl.StartSpan("cluster_job")
 	admission := root.StartChild("admission")
 
+	// The worker's own spec check, before the mirror or the cache is
+	// touched: a spec every worker refuses is refused here with the same
+	// status and message, and stores no graph.
+	chk, aerr := serve.CheckSpec(spec)
+	if aerr != nil {
+		aerr.Write(w)
+		return
+	}
 	// Inline graphs land in the router mirror first, then travel to
 	// workers by digest — the push machinery dedupes, so a thousand jobs
 	// inlining the same topology ship it to each owner once.
 	if spec.GraphInline != "" {
-		g, aerr := r.parseUpload(spec.GraphInline)
+		g, aerr := serve.ParseEdgeList(spec.GraphInline, r.cfg.GraphLimits)
 		if aerr != nil {
-			writeErr(w, aerr.status, "%s", aerr.msg)
+			aerr.Write(w)
 			return
 		}
 		digest, _ := r.store.Put(g)
 		r.reg.Counter(MetricGraphUploads).Inc()
 		spec.Graph, spec.GraphInline = digest, ""
 	}
-	key, err := serve.SpecCacheKey(spec)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	switch spec.Priority {
-	case "", serve.PriorityLow, serve.PriorityNormal, serve.PriorityHigh:
-	default:
-		writeErr(w, http.StatusBadRequest, "unknown priority %q (want low, normal, or high)", spec.Priority)
-		return
-	}
+	key := chk.Key(spec.Graph)
 	admission.Finish()
 
 	cj := &cjob{key: key, spec: spec, trace: spec.Trace, created: time.Now(), tl: tl, root: root}
@@ -293,7 +291,7 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 			cj.terminalV = &v
 			cj.mu.Unlock()
 			r.publishTimeline(cj, serve.StateDone)
-			writeJSON(w, http.StatusOK, v)
+			serve.WriteJSON(w, http.StatusOK, v)
 			return
 		}
 		lookup.Annotate("result", "miss")
@@ -311,8 +309,8 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 		root.Finish()
 		r.publishTimeline(cj, "shed")
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", r.retryAfterSeconds()))
-		writeErr(w, http.StatusTooManyRequests,
-			"cluster shedding %s-priority load; retry later", displayPriority(spec.Priority))
+		serve.WriteErr(w, http.StatusTooManyRequests,
+			"cluster shedding %s-priority load; retry later", serve.DisplayPriority(spec.Priority))
 		return
 	}
 	if !r.admit(cj) {
@@ -321,7 +319,7 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 		root.Finish()
 		r.publishTimeline(cj, "rejected")
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", r.retryAfterSeconds()))
-		writeErr(w, http.StatusTooManyRequests,
+		serve.WriteErr(w, http.StatusTooManyRequests,
 			"cluster in-flight bound reached (%d jobs); retry later", r.cfg.MaxInflight)
 		return
 	}
@@ -330,10 +328,10 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 	res := r.forward(cj, "")
 	switch {
 	case res.terminal:
-		writeJSON(w, http.StatusOK, *cj.terminalView())
+		serve.WriteJSON(w, http.StatusOK, *cj.terminalView())
 	case res.assigned:
 		w.Header().Set("Location", "/v1/jobs/"+cj.id)
-		writeJSON(w, http.StatusAccepted, res.view)
+		serve.WriteJSON(w, http.StatusAccepted, res.view)
 	case res.status == http.StatusTooManyRequests:
 		r.unadmit(cj)
 		r.reg.Counter(MetricJobsBounced).Inc()
@@ -345,14 +343,14 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 			ra = fmt.Sprintf("%d", r.retryAfterSeconds())
 		}
 		w.Header().Set("Retry-After", ra)
-		writeErr(w, http.StatusTooManyRequests, "every replica is shedding load; retry later")
+		serve.WriteErr(w, http.StatusTooManyRequests, "every replica is shedding load; retry later")
 	case res.status == http.StatusServiceUnavailable:
 		r.unadmit(cj)
 		r.reg.Counter(MetricJobsUnroutable).Inc()
 		root.Annotate("outcome", "unroutable")
 		root.Finish()
 		r.publishTimeline(cj, "unroutable")
-		writeErr(w, http.StatusServiceUnavailable, "no live worker can take the job; retry later")
+		serve.WriteErr(w, http.StatusServiceUnavailable, "no live worker can take the job; retry later")
 	default:
 		// A worker judged the spec itself bad (e.g. unknown digest nowhere
 		// repairable). Relay its verdict and leave no job behind.
@@ -360,7 +358,7 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 		root.Annotate("outcome", "refused")
 		root.Finish()
 		r.publishTimeline(cj, "refused")
-		writeErr(w, res.status, "%s", res.errMsg)
+		serve.WriteErr(w, res.status, "%s", res.errMsg)
 	}
 }
 
@@ -441,12 +439,10 @@ func (r *Router) forward(cj *cjob, exclude string) fwdResult {
 		}
 	}
 	if saw429 {
-		// Clamp to the router's own honesty bound (mirrors the worker-side
-		// retryAfterSeconds cap) so one confused worker cannot park every
-		// client behind a giant date-form header.
-		if maxRetryAfter > 30 {
-			maxRetryAfter = 30
-		}
+		// Clamp to the bound every node's own estimate obeys, so one
+		// confused worker cannot park every client behind a giant
+		// date-form header.
+		maxRetryAfter = min(maxRetryAfter, serve.MaxRetryAfterSeconds)
 		ra := ""
 		if maxRetryAfter > 0 {
 			ra = strconv.Itoa(maxRetryAfter)
@@ -461,10 +457,10 @@ func (r *Router) forward(cj *cjob, exclude string) fwdResult {
 func (r *Router) handleJobGet(w http.ResponseWriter, req *http.Request) {
 	cj := r.jobByID(req.PathValue("id"))
 	if cj == nil {
-		writeErr(w, http.StatusNotFound, "unknown job %q", req.PathValue("id"))
+		serve.WriteErr(w, http.StatusNotFound, "unknown job %q", req.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, r.resolve(cj))
+	serve.WriteJSON(w, http.StatusOK, r.resolve(cj))
 }
 
 // resolve returns the job's current view, consulting the owning worker.
@@ -610,25 +606,12 @@ func (r *Router) settle(cj *cjob) {
 }
 
 // retryAfterSeconds estimates when a bounced client should come back:
-// cluster backlog × mean end-to-end latency over the live fleet,
-// clamped to [1s, 30s].
+// the cluster's in-flight backlog over the live fleet.
 func (r *Router) retryAfterSeconds() int {
 	r.mu.Lock()
 	backlog := r.inflight + 1
 	r.mu.Unlock()
-	fleet := len(r.upMembers(""))
-	if fleet < 1 {
-		fleet = 1
-	}
-	est := time.Duration(backlog) * r.slo.MeanLatency() / time.Duration(fleet)
-	secs := int((est + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
+	return serve.RetryAfterSeconds(backlog, len(r.upMembers("")), r.slo.MeanLatency())
 }
 
 func errString(err error) string {
@@ -636,11 +619,4 @@ func errString(err error) string {
 		return ""
 	}
 	return err.Error()
-}
-
-func displayPriority(p string) string {
-	if p == "" {
-		return serve.PriorityNormal
-	}
-	return p
 }

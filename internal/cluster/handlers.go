@@ -2,102 +2,46 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
-	"subgraph/internal/graph"
-	"subgraph/internal/obs"
 	"subgraph/internal/serve"
 )
 
 // Handler returns the router's HTTP surface. It mirrors a worker's
 // surface path for path, so serve.Client — and every tool built on it
 // (loadgen, the CLI, diffcheck) — points at a router unchanged and gets
-// cluster semantics.
+// cluster semantics. Endpoints that only read node-local state are
+// serve's own handlers over the router's mirror, recorder and SLO guard.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", r.handleHealth)
 	mux.HandleFunc("GET /metrics", r.handleMetrics)
 	mux.HandleFunc("POST /v1/graphs", r.handleGraphUpload)
-	mux.HandleFunc("GET /v1/graphs", r.handleGraphList)
-	mux.HandleFunc("GET /v1/graphs/{digest}", r.handleGraphInfo)
-	mux.HandleFunc("GET /v1/graphs/{digest}/edgelist", r.handleGraphDownload)
 	mux.HandleFunc("POST /v1/graphs/{digest}/delta", r.handleGraphDelta)
 	mux.HandleFunc("POST /v1/jobs", r.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", r.handleJobGet)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", r.handleJobTrace)
-	mux.HandleFunc("GET /debug/jobs", r.handleDebugJobs)
-	mux.HandleFunc("GET /debug/jobs/{id}", r.handleDebugJob)
-	mux.HandleFunc("GET /debug/slo", r.handleDebugSLO)
 	mux.HandleFunc("GET /debug/cluster", r.handleDebugCluster)
+	serve.HandleReads(mux, r.store, r.flight, r.cfg.FlightRecorderSize, r.slo)
 	return mux
 }
 
-// writeJSON emits compact JSON — same rationale as the serve layer: an
-// indenting encoder would reformat the raw Stats bytes inside relayed
-// results and break their byte-identity with library output.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
-	v := serve.HealthView{
-		Status: "ok",
-		Role:   RoleRouter,
-		Node:   r.cfg.NodeName,
-		Shards: r.store.Len(),
-	}
-	if r.Draining() {
-		v.Status, v.Draining = "draining", true
-		writeJSON(w, http.StatusServiceUnavailable, v)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
+	serve.WriteHealth(w, serve.HealthView{Role: RoleRouter, Node: r.cfg.NodeName, Shards: r.store.Len()}, r.Draining())
 }
 
+// handleMetrics serves the router-local Prometheus page (scrapers collect
+// workers directly, each labeled with its own node name) or the
+// aggregated fleet view as JSON.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	if req.URL.Query().Get("format") == "prom" {
-		// The prom page is router-local (scrapers collect workers
-		// directly, each labeled with its own node name); the JSON view
-		// below is the aggregated one.
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = obs.WritePrometheusLabeled(w, r.reg.Snapshot(),
-			map[string]string{"node": r.cfg.NodeName})
+		serve.WritePrometheus(w, r.reg, r.cfg.NodeName)
 		return
 	}
-	writeJSON(w, http.StatusOK, r.clusterMetrics(req.Context()))
-}
-
-// parseUpload parses untrusted edge-list text under the router's
-// limits, mapping parse errors to 400 and limit errors to 413.
-func (r *Router) parseUpload(text string) (*graph.Graph, *routeErr) {
-	g, err := graph.ReadEdgeListLimits(strings.NewReader(text), r.cfg.GraphLimits)
-	if err != nil {
-		var le *graph.LimitError
-		if errors.As(err, &le) {
-			return nil, &routeErr{status: http.StatusRequestEntityTooLarge, msg: le.Error()}
-		}
-		return nil, &routeErr{status: http.StatusBadRequest, msg: err.Error()}
-	}
-	return g, nil
-}
-
-// routeErr is a client-visible error with its HTTP status.
-type routeErr struct {
-	status int
-	msg    string
+	serve.WriteJSON(w, http.StatusOK, r.clusterMetrics(req.Context()))
 }
 
 // handleGraphUpload stores the graph in the router mirror and fans it
@@ -105,14 +49,9 @@ type routeErr struct {
 // right after its upload must not eat a 404/push round-trip per owner.
 // Push failures are tolerated: the forward path re-pushes lazily.
 func (r *Router) handleGraphUpload(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxUploadBytes))
-	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "reading upload: %v", err)
-		return
-	}
-	g, aerr := r.parseUpload(string(body))
+	g, aerr := serve.ReadUpload(w, req, r.cfg.MaxUploadBytes, r.cfg.GraphLimits)
 	if aerr != nil {
-		writeErr(w, aerr.status, "%s", aerr.msg)
+		aerr.Write(w)
 		return
 	}
 	digest, deduped := r.store.Put(g)
@@ -131,35 +70,7 @@ func (r *Router) handleGraphUpload(w http.ResponseWriter, req *http.Request) {
 		}(m)
 	}
 	wg.Wait()
-	info, _ := r.store.Info(digest)
-	status := http.StatusCreated
-	if deduped {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, serve.UploadView{GraphInfo: info, Deduped: deduped})
-}
-
-func (r *Router) handleGraphList(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"graphs": r.store.List()})
-}
-
-func (r *Router) handleGraphInfo(w http.ResponseWriter, req *http.Request) {
-	info, ok := r.store.Info(req.PathValue("digest"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown graph digest %q", req.PathValue("digest"))
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (r *Router) handleGraphDownload(w http.ResponseWriter, req *http.Request) {
-	g, ok := r.store.Get(req.PathValue("digest"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown graph digest %q", req.PathValue("digest"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_ = graph.WriteEdgeList(w, g)
+	serve.WriteUpload(w, r.store, digest, deduped)
 }
 
 // handleJobTrace proxies a traced job's JSONL stream from the worker
@@ -167,24 +78,24 @@ func (r *Router) handleGraphDownload(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleJobTrace(w http.ResponseWriter, req *http.Request) {
 	cj := r.jobByID(req.PathValue("id"))
 	if cj == nil {
-		writeErr(w, http.StatusNotFound, "unknown job %q", req.PathValue("id"))
+		serve.WriteErr(w, http.StatusNotFound, "unknown job %q", req.PathValue("id"))
 		return
 	}
 	node, workerID := cj.assignment()
 	if node == "" || workerID == "" {
-		writeErr(w, http.StatusNotFound, "job %s has no trace (submit with \"trace\": true)", cj.id)
+		serve.WriteErr(w, http.StatusNotFound, "job %s has no trace (submit with \"trace\": true)", cj.id)
 		return
 	}
 	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.ForwardTimeout)
 	defer cancel()
 	up, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/jobs/"+workerID+"/trace", nil)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", err)
+		serve.WriteErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	resp, err := r.hc.Do(up)
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, "trace unreachable: worker %s is gone", node)
+		serve.WriteErr(w, http.StatusBadGateway, "trace unreachable: worker %s is gone", node)
 		return
 	}
 	defer resp.Body.Close()
@@ -196,40 +107,6 @@ func (r *Router) handleJobTrace(w http.ResponseWriter, req *http.Request) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
-}
-
-func (r *Router) handleDebugJobs(w http.ResponseWriter, req *http.Request) {
-	views := r.flight.Snapshot() // nil-safe: empty when recording disabled
-	if views == nil {
-		views = []*obs.TimelineView{}
-	}
-	writeJSON(w, http.StatusOK, serve.DebugJobsView{Count: len(views), Timelines: views})
-}
-
-func (r *Router) handleDebugJob(w http.ResponseWriter, req *http.Request) {
-	if r.flight == nil {
-		writeErr(w, http.StatusNotFound, "flight recorder disabled")
-		return
-	}
-	v := r.flight.Find(req.PathValue("id"))
-	if v == nil {
-		writeErr(w, http.StatusNotFound,
-			"no recorded timeline for %q (the recorder holds the last %d)",
-			req.PathValue("id"), r.cfg.FlightRecorderSize)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-func (r *Router) handleDebugSLO(w http.ResponseWriter, req *http.Request) {
-	trs := r.slo.Transitions()
-	if trs == nil {
-		trs = []serve.SLOTransition{}
-	}
-	writeJSON(w, http.StatusOK, serve.DebugSLOView{
-		Level:       serve.SLOLevelName(r.slo.Level()),
-		Transitions: trs,
-	})
 }
 
 // MemberView is the wire description of one member in /debug/cluster.
@@ -276,5 +153,5 @@ func (r *Router) handleDebugCluster(w http.ResponseWriter, req *http.Request) {
 			SLOLevel: serve.SLOLevelName(int(m.sloLevel.Load())),
 		})
 	}
-	writeJSON(w, http.StatusOK, v)
+	serve.WriteJSON(w, http.StatusOK, v)
 }

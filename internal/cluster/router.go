@@ -70,7 +70,7 @@ type Config struct {
 	// submissions beyond it bounce 429 + Retry-After (default 256).
 	MaxInflight int
 	// CacheSize bounds the router-held shared result cache, in entries
-	// (default 2048; negative disables). Keys are serve.SpecCacheKey, so
+	// (default 2048; negative disables). Keys are serve.CheckedSpec.Key, so
 	// a result computed by any worker hits for every client of the
 	// cluster.
 	CacheSize int

@@ -296,10 +296,10 @@ func TestClusterShedsOnWorkerSLOLevels(t *testing.T) {
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.URL.Path == "/healthz":
-			writeJSON(w, http.StatusOK, serve.HealthView{Status: "ok", Role: "worker", Node: "stub"})
+			serve.WriteJSON(w, http.StatusOK, serve.HealthView{Status: "ok", Role: "worker", Node: "stub"})
 		case r.URL.Path == "/v1/jobs" && r.Method == http.MethodPost:
 			submits.Add(1)
-			writeJSON(w, http.StatusAccepted, serve.JobView{ID: "j-000001", State: serve.StateRunning})
+			serve.WriteJSON(w, http.StatusAccepted, serve.JobView{ID: "j-000001", State: serve.StateRunning})
 		default:
 			http.NotFound(w, r)
 		}

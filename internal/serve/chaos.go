@@ -89,10 +89,10 @@ func (c *Chaos) Middleware(next http.Handler) http.Handler {
 		case r429:
 			c.reg.Counter(MetricChaos429).Inc()
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusTooManyRequests, "chaos: injected backpressure")
+			WriteErr(w, http.StatusTooManyRequests, "chaos: injected backpressure")
 		case r503:
 			c.reg.Counter(MetricChaos503).Inc()
-			writeErr(w, http.StatusServiceUnavailable, "chaos: injected outage")
+			WriteErr(w, http.StatusServiceUnavailable, "chaos: injected outage")
 		default:
 			next.ServeHTTP(w, r)
 		}

@@ -100,14 +100,14 @@ func deltaStatus(reason string) int {
 
 func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		writeErr(w, http.StatusServiceUnavailable, "server is draining; submit elsewhere")
+		WriteErr(w, http.StatusServiceUnavailable, "server is draining; submit elsewhere")
 		return
 	}
 	parentDigest := r.PathValue("digest")
 	// Pin the parent for the duration: a concurrent churn of uploads must
 	// not evict it between validation and application.
 	if !s.store.Pin(parentDigest) {
-		writeErr(w, http.StatusNotFound,
+		WriteErr(w, http.StatusNotFound,
 			"unknown graph digest %q: the parent was evicted or never uploaded; re-upload the base graph and resubmit the delta",
 			parentDigest)
 		return
@@ -119,14 +119,14 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding delta: %v", err)
+		WriteErr(w, http.StatusBadRequest, "decoding delta: %v", err)
 		return
 	}
 	d := graph.EdgeDelta{Insert: req.Insert, Delete: req.Delete}
 
 	// Bound the successor before building it.
 	if projected := parent.M() - len(req.Delete) + len(req.Insert); projected > s.cfg.GraphLimits.MaxEdges {
-		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
+		WriteJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
 			"error":  fmt.Sprintf("delta would grow the graph to ~%d edges, over the %d edge bound", projected, s.cfg.GraphLimits.MaxEdges),
 			"reason": graph.DeltaTooManyEdges,
 		})
@@ -136,7 +136,7 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var de *graph.DeltaError
 		if errors.As(err, &de) {
-			writeJSON(w, deltaStatus(de.Reason), map[string]any{
+			WriteJSON(w, deltaStatus(de.Reason), map[string]any{
 				"error":  de.Error(),
 				"reason": de.Reason,
 				"op":     de.Op,
@@ -144,7 +144,7 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		WriteErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.reg.Counter(MetricGraphDeltas).Inc()
@@ -216,14 +216,21 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if !d.Empty() {
-		view.Forwarded = s.forwardCountEntries(parent, child, parentDigest, childDigest,
-			res.Touched, incremental, parentBits, childBits)
+		n, fellBack := ForwardCountEntries(s.cache, s.kernel, parent, child, parentDigest, childDigest,
+			res.Touched, incremental, func() (*graph.BitAdjacency, *graph.BitAdjacency) {
+				return parentBits(), childBits()
+			})
+		if fellBack {
+			s.reg.Counter(MetricDeltaFallback).Inc()
+		}
+		s.reg.Counter(MetricDeltaForwarded).Add(int64(n))
+		view.Forwarded = n
 	}
 	if len(req.Watch) > 0 {
 		watch, aerr := s.evaluateWatch(req.Watch, parent, child, parentDigest, childDigest,
 			d, res.Touched, incremental, parentBits, childBits)
 		if aerr != nil {
-			writeErr(w, aerr.status, "%s", aerr.msg)
+			aerr.Write(w)
 			return
 		}
 		view.Watch = watch
@@ -238,7 +245,7 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 		"inserted", res.Inserted, "deleted", res.Deleted,
 		"churn", churn, "incremental", incremental,
 		"forwarded", view.Forwarded, "deduped", deduped)
-	writeJSON(w, status, view)
+	WriteJSON(w, status, view)
 }
 
 // cliquePattern returns the parsed clique:s pattern graph (for cache-key
@@ -251,10 +258,10 @@ func cliquePattern(s int) *subgraph.Graph {
 	return h
 }
 
-// countEnvelope builds the count-mode result envelope exactly as a
-// kernel batch pass would for this graph — the forwarding contract is
-// byte-identity with a from-scratch count job on the child.
-func countEnvelope(cnt int64, mode graph.BitAdjacencyMode) *JobResult {
+// CountResult is the count-mode result envelope for a graph served in
+// mode, exactly as a kernel batch pass builds it — lineage forwarding
+// promises byte-identity with a from-scratch count job on the child.
+func CountResult(cnt int64, mode graph.BitAdjacencyMode) *JobResult {
 	statsJSON, _ := json.Marshal(subgraph.Stats{})
 	c := cnt
 	return &JobResult{
@@ -265,21 +272,17 @@ func countEnvelope(cnt int64, mode graph.BitAdjacencyMode) *JobResult {
 	}
 }
 
-// CountResult is the count-mode result envelope for a graph served in
-// mode — exported so the cluster router can seed its shared cache along
-// lineage with entries byte-identical to worker-computed ones.
-func CountResult(cnt int64, mode graph.BitAdjacencyMode) *JobResult {
-	return countEnvelope(cnt, mode)
-}
-
-// forwardCountEntries re-derives the parent's count-mode cache entries
-// for the child via incremental recounting. Over-threshold deltas
-// forward nothing and count one fallback (the child will recompute on
-// demand).
-func (s *Server) forwardCountEntries(parent, child *graph.Graph, parentDigest, childDigest string,
-	touched []int32, incremental bool,
-	parentBits, childBits func() *graph.BitAdjacency) int {
-	// Find which sizes the parent has cached counts for.
+// ForwardCountEntries re-derives the parent's count-mode entries in
+// cache for the child by incremental recounting over the touched
+// vertices; bits supplies both graphs' adjacencies on first need. It
+// returns how many entries it forwarded. When incremental is false (the
+// caller's churn verdict) it derives nothing and fellBack reports
+// whether the parent had entries to forward — the child recomputes them
+// on demand. Worker delta handling and the cluster router's lineage
+// seeding both forward through here.
+func ForwardCountEntries(cache *Cache, krn *kernel.Kernel, parent, child *graph.Graph,
+	parentDigest, childDigest string, touched []int32, incremental bool,
+	bits func() (parentBits, childBits *graph.BitAdjacency)) (forwarded int, fellBack bool) {
 	type ent struct {
 		size int
 		h    *subgraph.Graph
@@ -288,26 +291,20 @@ func (s *Server) forwardCountEntries(parent, child *graph.Graph, parentDigest, c
 	var ents []ent
 	for size := 2; size <= kernel.MaxCliqueSize; size++ {
 		h := cliquePattern(size)
-		res, ok := s.cache.Get(cacheKey(parentDigest, h, subgraph.OptionsSpec{}, true))
+		res, ok := cache.Get(cacheKey(parentDigest, h, subgraph.OptionsSpec{}, true))
 		if ok && res.Count != nil {
 			ents = append(ents, ent{size: size, h: h, cnt: *res.Count})
 		}
 	}
-	if len(ents) == 0 {
-		return 0
+	if len(ents) == 0 || !incremental {
+		return 0, len(ents) > 0
 	}
-	if !incremental {
-		s.reg.Counter(MetricDeltaFallback).Inc()
-		return 0
-	}
-	pb, cb := parentBits(), childBits()
+	pb, cb := bits()
 	for _, e := range ents {
-		cnt := s.kernel.CountDelta(parent, pb, child, cb, e.size, touched, e.cnt)
-		s.cache.Put(cacheKey(childDigest, e.h, subgraph.OptionsSpec{}, true),
-			countEnvelope(cnt, cb.Mode()))
+		cnt := krn.CountDelta(parent, pb, child, cb, e.size, touched, e.cnt)
+		cache.Put(cacheKey(childDigest, e.h, subgraph.OptionsSpec{}, true), CountResult(cnt, cb.Mode()))
 	}
-	s.reg.Counter(MetricDeltaForwarded).Add(int64(len(ents)))
-	return len(ents)
+	return len(ents), false
 }
 
 // watchKey keys dirty-region detection state (cycle watch booleans) in
@@ -323,7 +320,7 @@ func watchKey(digest string, h *subgraph.Graph) string {
 // incrementally when possible.
 func (s *Server) evaluateWatch(patterns []string, parent, child *graph.Graph,
 	parentDigest, childDigest string, d graph.EdgeDelta, touched []int32, incremental bool,
-	parentBits, childBits func() *graph.BitAdjacency) ([]WatchResult, *apiError) {
+	parentBits, childBits func() *graph.BitAdjacency) ([]WatchResult, *APIError) {
 	out := make([]WatchResult, 0, len(patterns))
 	for _, p := range patterns {
 		h, err := subgraph.ParsePattern(p)
@@ -394,7 +391,7 @@ func (s *Server) watchClique(p string, h *subgraph.Graph, size int, parent, chil
 	}
 	// Either way the child's count is now known exactly: cache it under
 	// the count-job key so subsequent count jobs (and future deltas) hit.
-	s.cache.Put(cacheKey(childDigest, h, subgraph.OptionsSpec{}, true), countEnvelope(cnt, cb.Mode()))
+	s.cache.Put(cacheKey(childDigest, h, subgraph.OptionsSpec{}, true), CountResult(cnt, cb.Mode()))
 	c := cnt
 	return WatchResult{Pattern: p, Detected: cnt > 0, Count: &c, Incremental: usedIncremental}
 }

@@ -27,7 +27,7 @@ func deadEndpoint(t *testing.T) string {
 // (status 0) retries on the next endpoint, and the call succeeds.
 func TestClientFailoverConnError(t *testing.T) {
 	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, HealthView{Status: "ok"})
+		WriteJSON(w, http.StatusOK, HealthView{Status: "ok"})
 	}))
 	defer live.Close()
 	dead := deadEndpoint(t)
@@ -68,7 +68,7 @@ func TestClientFailover502(t *testing.T) {
 	}))
 	defer bad.Close()
 	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"pong": "1"})
+		WriteJSON(w, http.StatusOK, map[string]string{"pong": "1"})
 	}))
 	defer live.Close()
 
@@ -107,7 +107,7 @@ func TestClientFailover429StaysPut(t *testing.T) {
 	}))
 	defer backpressured.Close()
 	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{})
+		WriteJSON(w, http.StatusOK, map[string]string{})
 	}))
 	defer other.Close()
 

@@ -13,13 +13,17 @@ import (
 	"subgraph/internal/obs"
 )
 
-// apiError is a client-visible error with its HTTP status.
-type apiError struct {
-	status int
-	msg    string
+// APIError is a client-visible error with its HTTP status. The cluster
+// router answers rejections with the same values a worker does.
+type APIError struct {
+	Status int
+	Msg    string
 }
 
-func badRequest(msg string) *apiError { return &apiError{status: http.StatusBadRequest, msg: msg} }
+func badRequest(msg string) *APIError { return &APIError{Status: http.StatusBadRequest, Msg: msg} }
+
+// Write answers the request with the error.
+func (e *APIError) Write(w http.ResponseWriter) { WriteErr(w, e.Status, "%s", e.Msg) }
 
 // UploadView is the wire response of a graph upload.
 type UploadView struct {
@@ -63,17 +67,69 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("POST /v1/graphs", s.handleGraphUpload)
-	mux.HandleFunc("GET /v1/graphs", s.handleGraphList)
-	mux.HandleFunc("GET /v1/graphs/{digest}", s.handleGraphInfo)
-	mux.HandleFunc("GET /v1/graphs/{digest}/edgelist", s.handleGraphDownload)
 	mux.HandleFunc("POST /v1/graphs/{digest}/delta", s.handleGraphDelta)
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
-	mux.HandleFunc("GET /debug/jobs", s.handleDebugJobs)
-	mux.HandleFunc("GET /debug/jobs/{id}", s.handleDebugJob)
-	mux.HandleFunc("GET /debug/slo", s.handleDebugSLO)
+	HandleReads(mux, s.store, s.flight, s.cfg.FlightRecorderSize, &SLOGuard{g: s.slo})
 	return mux
+}
+
+// HandleReads registers the endpoints that only read node-local state:
+// the graph list, info and edge-list download over store, and
+// /debug/jobs, /debug/jobs/{id} and /debug/slo over the flight recorder
+// (nil when disabled; it holds the last flightSize timelines) and the SLO
+// guard. Workers and the cluster router both serve them through here.
+func HandleReads(mux *http.ServeMux, store *Store, flight *obs.FlightRecorder, flightSize int, slo *SLOGuard) {
+	mux.HandleFunc("GET /v1/graphs", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, map[string]any{"graphs": store.List()})
+	})
+	mux.HandleFunc("GET /v1/graphs/{digest}", func(w http.ResponseWriter, r *http.Request) {
+		info, ok := store.Info(r.PathValue("digest"))
+		if !ok {
+			WriteErr(w, http.StatusNotFound, "unknown graph digest %q", r.PathValue("digest"))
+			return
+		}
+		WriteJSON(w, http.StatusOK, info)
+	})
+	mux.HandleFunc("GET /v1/graphs/{digest}/edgelist", func(w http.ResponseWriter, r *http.Request) {
+		g, ok := store.Get(r.PathValue("digest"))
+		if !ok {
+			WriteErr(w, http.StatusNotFound, "unknown graph digest %q", r.PathValue("digest"))
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_ = graph.WriteEdgeList(w, g)
+	})
+	mux.HandleFunc("GET /debug/jobs", func(w http.ResponseWriter, r *http.Request) {
+		views := flight.Snapshot() // nil-safe: empty when recording disabled
+		if views == nil {
+			views = []*obs.TimelineView{}
+		}
+		WriteJSON(w, http.StatusOK, DebugJobsView{Count: len(views), Timelines: views})
+	})
+	mux.HandleFunc("GET /debug/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if flight == nil {
+			WriteErr(w, http.StatusNotFound, "flight recorder disabled")
+			return
+		}
+		v := flight.Find(id)
+		if v == nil {
+			WriteErr(w, http.StatusNotFound,
+				"no recorded timeline for %q (job or trace ID; the recorder holds the last %d)",
+				id, flightSize)
+			return
+		}
+		WriteJSON(w, http.StatusOK, v)
+	})
+	mux.HandleFunc("GET /debug/slo", func(w http.ResponseWriter, r *http.Request) {
+		trs := slo.Transitions()
+		if trs == nil {
+			trs = []SLOTransition{}
+		}
+		WriteJSON(w, http.StatusOK, DebugSLOView{Level: SLOLevelName(slo.Level()), Transitions: trs})
+	})
 }
 
 // TraceIDHeader carries a job's trace ID end to end: clients may set it
@@ -87,29 +143,46 @@ const TraceIDHeader = "X-Trace-Id"
 // the router's own spans chain onto the same X-Trace-Id.
 const ForwardedByHeader = "X-Forwarded-By"
 
-// writeJSON emits compact JSON: an indenting encoder would reformat the
+// WriteJSON emits compact JSON: an indenting encoder would reformat the
 // json.RawMessage Stats inside job results and break the documented
 // byte-identity with library-side json.Marshal(Stats).
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteErr answers with the JSON error envelope {"error": "..."}.
+func WriteErr(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// WriteHealth answers /healthz with v: 200 "ok", or 503 "draining" — the
+// 503 tells orchestrators (and the cluster router's prober) to stop
+// routing, and its body tells "draining" from "dead".
+func WriteHealth(w http.ResponseWriter, v HealthView, draining bool) {
+	if draining {
+		v.Status, v.Draining = "draining", true
+		WriteJSON(w, http.StatusServiceUnavailable, v)
+		return
+	}
+	v.Status = "ok"
+	WriteJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	v := HealthView{Status: "ok", Role: "worker", Node: s.cfg.NodeName, Shards: s.store.Len()}
-	if s.Draining() {
-		// 503 tells orchestrators (and the cluster router's prober) to stop
-		// routing while queued jobs finish.
-		v.Status, v.Draining = "draining", true
-		writeJSON(w, http.StatusServiceUnavailable, v)
-		return
+	WriteHealth(w, HealthView{Role: "worker", Node: s.cfg.NodeName, Shards: s.store.Len()}, s.Draining())
+}
+
+// WritePrometheus answers /metrics?format=prom with reg's exposition
+// page, labeling every sample node="<node>" when node is set.
+func WritePrometheus(w http.ResponseWriter, reg *obs.Registry, node string) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	var labels map[string]string
+	if node != "" {
+		labels = map[string]string{"node": node}
 	}
-	writeJSON(w, http.StatusOK, v)
+	_ = obs.WritePrometheusLabeled(w, reg.Snapshot(), labels)
 }
 
 // refreshServerGauges pushes the envelope state (workers, queue, stores,
@@ -130,18 +203,12 @@ func (s *Server) refreshServerGauges() {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.refreshServerGauges()
 	if r.URL.Query().Get("format") == "prom" {
-		s.refreshServerGauges()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		var labels map[string]string
-		if s.cfg.NodeName != "" {
-			labels = map[string]string{"node": s.cfg.NodeName}
-		}
-		_ = obs.WritePrometheusLabeled(w, s.reg.Snapshot(), labels)
+		WritePrometheus(w, s.reg, s.cfg.NodeName)
 		return
 	}
-	s.refreshServerGauges()
-	writeJSON(w, http.StatusOK, MetricsView{
+	WriteJSON(w, http.StatusOK, MetricsView{
 		UptimeMs:     time.Since(s.start).Milliseconds(),
 		Workers:      s.cfg.Workers,
 		QueueDepth:   len(s.queue),
@@ -153,18 +220,39 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseUpload parses untrusted edge-list text under the server's limits,
-// mapping parse errors to 400 and limit errors to 413.
-func (s *Server) parseUpload(text string) (*graph.Graph, *apiError) {
-	g, err := graph.ReadEdgeListLimits(strings.NewReader(text), s.cfg.GraphLimits)
+// ParseEdgeList parses untrusted edge-list text under limits, mapping
+// parse errors to 400 and limit errors to 413.
+func ParseEdgeList(text string, limits graph.Limits) (*graph.Graph, *APIError) {
+	g, err := graph.ReadEdgeListLimits(strings.NewReader(text), limits)
 	if err != nil {
 		var le *graph.LimitError
 		if errors.As(err, &le) {
-			return nil, &apiError{status: http.StatusRequestEntityTooLarge, msg: le.Error()}
+			return nil, &APIError{Status: http.StatusRequestEntityTooLarge, Msg: le.Error()}
 		}
 		return nil, badRequest(err.Error())
 	}
 	return g, nil
+}
+
+// ReadUpload reads an edge-list upload body of at most maxBytes (413
+// beyond) and parses it under limits.
+func ReadUpload(w http.ResponseWriter, r *http.Request, maxBytes int64, limits graph.Limits) (*graph.Graph, *APIError) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	if err != nil {
+		return nil, &APIError{Status: http.StatusRequestEntityTooLarge, Msg: fmt.Sprintf("reading upload: %v", err)}
+	}
+	return ParseEdgeList(string(body), limits)
+}
+
+// WriteUpload answers an upload stored under digest: 201 with its info,
+// or 200 marked deduped when the content was already stored.
+func WriteUpload(w http.ResponseWriter, store *Store, digest string, deduped bool) {
+	info, _ := store.Info(digest)
+	status := http.StatusCreated
+	if deduped {
+		status = http.StatusOK
+	}
+	WriteJSON(w, status, UploadView{GraphInfo: info, Deduped: deduped})
 }
 
 func (s *Server) countUpload(deduped bool) {
@@ -175,47 +263,14 @@ func (s *Server) countUpload(deduped bool) {
 }
 
 func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
-	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "reading upload: %v", err)
-		return
-	}
-	g, aerr := s.parseUpload(string(body))
+	g, aerr := ReadUpload(w, r, s.cfg.MaxUploadBytes, s.cfg.GraphLimits)
 	if aerr != nil {
-		writeErr(w, aerr.status, "%s", aerr.msg)
+		aerr.Write(w)
 		return
 	}
 	digest, deduped := s.store.Put(g)
 	s.countUpload(deduped)
-	info, _ := s.store.Info(digest)
-	status := http.StatusCreated
-	if deduped {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, UploadView{GraphInfo: info, Deduped: deduped})
-}
-
-func (s *Server) handleGraphList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"graphs": s.store.List()})
-}
-
-func (s *Server) handleGraphInfo(w http.ResponseWriter, r *http.Request) {
-	info, ok := s.store.Info(r.PathValue("digest"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown graph digest %q", r.PathValue("digest"))
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *Server) handleGraphDownload(w http.ResponseWriter, r *http.Request) {
-	g, ok := s.store.Get(r.PathValue("digest"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown graph digest %q", r.PathValue("digest"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_ = graph.WriteEdgeList(w, g)
+	WriteUpload(w, s.store, digest, deduped)
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -235,7 +290,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 	if s.Draining() {
 		s.reg.Counter(MetricJobsDraining).Inc()
-		writeErr(w, http.StatusServiceUnavailable, "server is draining; submit elsewhere")
+		WriteErr(w, http.StatusServiceUnavailable, "server is draining; submit elsewhere")
 		return
 	}
 	// Admission covers decode + validation + store lookups — everything
@@ -245,13 +300,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding job spec: %v", err)
+		WriteErr(w, http.StatusBadRequest, "decoding job spec: %v", err)
 		return
 	}
 	s.reg.Counter(MetricJobsSubmitted).Inc()
 	j, aerr := s.prepare(spec)
 	if aerr != nil {
-		writeErr(w, aerr.status, "%s", aerr.msg)
+		aerr.Write(w)
 		return
 	}
 	j.tl, j.rootSpan = tl, root
@@ -280,7 +335,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 				Observe(float64(j.latencyNs))
 			s.publishTimeline(j, StateDone)
 			s.releaseJobPin(j)
-			writeJSON(w, http.StatusOK, j.view())
+			WriteJSON(w, http.StatusOK, j.view())
 			return
 		}
 		lookup.Annotate("result", "miss")
@@ -304,8 +359,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			s.publishTimeline(j, "shed")
 			s.releaseJobPin(j)
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
-			writeErr(w, http.StatusTooManyRequests,
-				"shedding %s-priority load: p99 over budget; retry later", displayPriority(spec.Priority))
+			WriteErr(w, http.StatusTooManyRequests,
+				"shedding %s-priority load: p99 over budget; retry later", DisplayPriority(spec.Priority))
 			return
 		}
 	}
@@ -321,7 +376,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.publishTimeline(j, "coalesced")
 		s.releaseJobPin(j)
 		w.Header().Set("Location", "/v1/jobs/"+existing.id)
-		writeJSON(w, http.StatusAccepted, existing.view())
+		WriteJSON(w, http.StatusAccepted, existing.view())
 		return
 	}
 	// The queue-wait span opens here and is finished by the worker that
@@ -339,7 +394,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.unregister(j)
 		s.releaseJobPin(j)
 		s.reg.Counter(MetricJobsDraining).Inc()
-		writeErr(w, http.StatusServiceUnavailable, "server is draining; submit elsewhere")
+		WriteErr(w, http.StatusServiceUnavailable, "server is draining; submit elsewhere")
 		return
 	case !queued:
 		s.unregister(j)
@@ -349,27 +404,27 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		root.Finish()
 		s.publishTimeline(j, "rejected")
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
-		writeErr(w, http.StatusTooManyRequests,
+		WriteErr(w, http.StatusTooManyRequests,
 			"queue saturated (%d jobs); retry later", s.cfg.QueueDepth)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, j.view())
+	WriteJSON(w, http.StatusAccepted, j.view())
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	j := s.jobByID(r.PathValue("id"))
 	if j == nil {
-		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		WriteErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.view())
+	WriteJSON(w, http.StatusOK, j.view())
 }
 
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	j := s.jobByID(r.PathValue("id"))
 	if j == nil {
-		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		WriteErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	j.mu.Lock()
@@ -378,7 +433,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	state := j.state
 	j.mu.Unlock()
 	if len(trace) == 0 {
-		writeErr(w, http.StatusNotFound, "job %s has no trace (state %s; submit with \"trace\": true)",
+		WriteErr(w, http.StatusNotFound, "job %s has no trace (state %s; submit with \"trace\": true)",
 			j.id, state)
 		return
 	}
@@ -400,39 +455,4 @@ type DebugJobsView struct {
 type DebugSLOView struct {
 	Level       string          `json:"level"`
 	Transitions []SLOTransition `json:"transitions"`
-}
-
-func (s *Server) handleDebugJobs(w http.ResponseWriter, r *http.Request) {
-	views := s.flight.Snapshot() // nil-safe: empty when recording disabled
-	if views == nil {
-		views = []*obs.TimelineView{}
-	}
-	writeJSON(w, http.StatusOK, DebugJobsView{Count: len(views), Timelines: views})
-}
-
-func (s *Server) handleDebugJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.flight == nil {
-		writeErr(w, http.StatusNotFound, "flight recorder disabled")
-		return
-	}
-	v := s.flight.Find(id)
-	if v == nil {
-		writeErr(w, http.StatusNotFound,
-			"no recorded timeline for %q (job or trace ID; the recorder holds the last %d)",
-			id, s.cfg.FlightRecorderSize)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-func (s *Server) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
-	trs := s.slo.Transitions()
-	if trs == nil {
-		trs = []SLOTransition{}
-	}
-	writeJSON(w, http.StatusOK, DebugSLOView{
-		Level:       levelName(s.slo.level.Load()),
-		Transitions: trs,
-	})
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"subgraph"
-	"subgraph/internal/kernel"
 	"subgraph/internal/obs"
 )
 
@@ -203,47 +202,17 @@ func (j *job) view() JobView {
 	}
 }
 
-// prepare validates a spec against the server's stores and limits and
-// builds the executable job. It returns an *apiError for client mistakes.
-func (s *Server) prepare(spec JobSpec) (*job, *apiError) {
-	if (spec.Graph == "") == (spec.GraphInline == "") {
-		return nil, badRequest("exactly one of \"graph\" (digest) and \"graph_inline\" (edge list) must be set")
-	}
-	h, err := subgraph.ParsePattern(spec.Pattern)
-	if err != nil {
-		return nil, badRequest(err.Error())
-	}
-	opts, err := spec.Options.Options()
-	if err != nil {
-		return nil, badRequest(err.Error())
-	}
-	if !validPriority(spec.Priority) {
-		return nil, badRequest(fmt.Sprintf("unknown priority %q (want low, normal, or high)", spec.Priority))
-	}
-	count := false
-	cliqueS := 0
-	switch spec.Mode {
-	case "", ModeDetect:
-	case ModeCount:
-		var ok bool
-		cliqueS, ok = kernel.CliqueSize(h)
-		if !ok {
-			return nil, badRequest(fmt.Sprintf(
-				"pattern %q is not kernel-countable: count mode serves clique-family patterns only (triangle, cycle:3, clique:2..%d)",
-				spec.Pattern, kernel.MaxCliqueSize))
-		}
-		if spec.Trace {
-			return nil, badRequest("count jobs run the local kernel and produce no engine trace; submit in detect mode to trace")
-		}
-		if spec.Options.Faults != nil || spec.Options.Resilient {
-			return nil, badRequest("count jobs run the local kernel; fault injection and resilience apply to simulations only")
-		}
-		count = true
-	default:
-		return nil, badRequest(fmt.Sprintf("unknown mode %q (want \"detect\" or \"count\")", spec.Mode))
+// prepare checks a spec (CheckSpec), stores an inline graph, pins the
+// graph and builds the executable job. It returns an *APIError for
+// client mistakes.
+func (s *Server) prepare(spec JobSpec) (*job, *APIError) {
+	chk, aerr := CheckSpec(spec)
+	if aerr != nil {
+		return nil, aerr
 	}
 	// Server-side deadline cap: every job runs under the engine's
 	// wall-clock deadline machinery.
+	opts := chk.opts
 	if opts.Deadline <= 0 || opts.Deadline > s.cfg.MaxJobDeadline {
 		opts.Deadline = s.cfg.MaxJobDeadline
 	}
@@ -251,11 +220,11 @@ func (s *Server) prepare(spec JobSpec) (*job, *apiError) {
 	digest := spec.Graph
 	if spec.GraphInline != "" {
 		if int64(len(spec.GraphInline)) > s.cfg.MaxUploadBytes {
-			return nil, &apiError{status: 413, msg: fmt.Sprintf(
+			return nil, &APIError{Status: 413, Msg: fmt.Sprintf(
 				"inline graph of %d bytes exceeds the %d byte upload bound",
 				len(spec.GraphInline), s.cfg.MaxUploadBytes)}
 		}
-		g, aerr := s.parseUpload(spec.GraphInline)
+		g, aerr := ParseEdgeList(spec.GraphInline, s.cfg.GraphLimits)
 		if aerr != nil {
 			return nil, aerr
 		}
@@ -267,25 +236,24 @@ func (s *Server) prepare(spec JobSpec) (*job, *apiError) {
 	// (LRU eviction skips pinned graphs), so an admitted job can never
 	// 404 at dequeue time. Released via releaseJobPin on every outcome.
 	if !s.store.Pin(digest) {
-		return nil, &apiError{status: 404, msg: fmt.Sprintf("unknown graph digest %q (upload it first)", digest)}
+		return nil, &APIError{Status: 404, Msg: fmt.Sprintf("unknown graph digest %q (upload it first)", digest)}
 	}
 	nw, _ := s.network(digest)
 
 	effective := subgraph.OptionsSpecOf(opts)
-	key := cacheKey(digest, h, effective, count)
 	return &job{
 		pinned:   true,
 		digest:   digest,
 		pattern:  spec.Pattern,
 		g:        nw,
-		h:        h,
+		h:        chk.pattern,
 		opts:     opts,
 		optSpec:  effective,
-		key:      key,
+		key:      cacheKey(digest, chk.pattern, effective, chk.cliqueS > 0),
 		trace:    spec.Trace,
 		priority: spec.Priority,
-		count:    count,
-		cliqueS:  cliqueS,
+		count:    chk.cliqueS > 0,
+		cliqueS:  chk.cliqueS,
 		state:    StateQueued,
 		finished: make(chan struct{}),
 	}, nil

@@ -7,11 +7,67 @@ import (
 	"subgraph/internal/kernel"
 )
 
-// Result-cache key construction. The key is shared verbatim between a
-// worker's local cache and the cluster router's shared cache: both sides
-// must derive exactly the same string from a spec, or a cluster-wide
-// "hit on any node is a hit everywhere" silently stops being true
-// (pinned by TestSpecCacheKeyMatchesPrepare).
+// Spec validation and result-cache keys. A worker's admission (prepare)
+// and the cluster router both check a spec with CheckSpec and key it with
+// CheckedSpec.Key: the router must accept, reject and cache exactly as a
+// worker does, or a client could tell the two apart and a router cache
+// hit could answer a spec every worker refuses (pinned by
+// TestSpecCacheKeyMatchesPrepare and FuzzJobSpec).
+
+// CheckedSpec is what CheckSpec learns from a job spec: the parsed
+// pattern, the decoded options and, for count jobs, the clique size.
+type CheckedSpec struct {
+	pattern *subgraph.Graph
+	opts    subgraph.Options
+	cliqueS int // count mode: the kernel clique size; 0 in detect mode
+}
+
+// CheckSpec validates every field of a spec that does not need the
+// stored graph — graph reference shape, pattern, options, priority and
+// mode — and answers a rejection with the worker's status and message.
+func CheckSpec(spec JobSpec) (CheckedSpec, *APIError) {
+	if (spec.Graph == "") == (spec.GraphInline == "") {
+		return CheckedSpec{}, badRequest("exactly one of \"graph\" (digest) and \"graph_inline\" (edge list) must be set")
+	}
+	h, err := subgraph.ParsePattern(spec.Pattern)
+	if err != nil {
+		return CheckedSpec{}, badRequest(err.Error())
+	}
+	opts, err := spec.Options.Options()
+	if err != nil {
+		return CheckedSpec{}, badRequest(err.Error())
+	}
+	if !validPriority(spec.Priority) {
+		return CheckedSpec{}, badRequest(fmt.Sprintf("unknown priority %q (want low, normal, or high)", spec.Priority))
+	}
+	c := CheckedSpec{pattern: h, opts: opts}
+	switch spec.Mode {
+	case "", ModeDetect:
+	case ModeCount:
+		var ok bool
+		c.cliqueS, ok = kernel.CliqueSize(h)
+		if !ok {
+			return CheckedSpec{}, badRequest(fmt.Sprintf(
+				"pattern %q is not kernel-countable: count mode serves clique-family patterns only (triangle, cycle:3, clique:2..%d)",
+				spec.Pattern, kernel.MaxCliqueSize))
+		}
+		if spec.Trace {
+			return CheckedSpec{}, badRequest("count jobs run the local kernel and produce no engine trace; submit in detect mode to trace")
+		}
+		if spec.Options.Faults != nil || spec.Options.Resilient {
+			return CheckedSpec{}, badRequest("count jobs run the local kernel; fault injection and resilience apply to simulations only")
+		}
+	default:
+		return CheckedSpec{}, badRequest(fmt.Sprintf("unknown mode %q (want \"detect\" or \"count\")", spec.Mode))
+	}
+	return c, nil
+}
+
+// Key is the result-cache key of the checked spec run on the graph
+// stored under digest.
+func (c CheckedSpec) Key(digest string) string {
+	return cacheKey(digest, c.pattern, subgraph.OptionsSpecOf(c.opts), c.cliqueS > 0)
+}
 
 // cacheKey computes the result-cache key for a prepared job.
 //
@@ -35,35 +91,4 @@ func cacheKey(digest string, h *subgraph.Graph, effective subgraph.OptionsSpec, 
 	keySpec := effective
 	keySpec.DeadlineMs = 0
 	return digest + "|" + h.Digest() + "|" + keySpec.Canonical()
-}
-
-// SpecCacheKey computes the result-cache key for a digest-referencing
-// spec without access to the stored graph — the router-side half of the
-// shared-cache contract. It validates the same fields prepare() keys on
-// (pattern, options, count-mode eligibility); specs carrying an inline
-// graph are rejected, since their digest is unknown until stored.
-func SpecCacheKey(spec JobSpec) (string, error) {
-	if spec.Graph == "" {
-		return "", fmt.Errorf("serve: cache key needs a graph digest (inline graphs are stored first)")
-	}
-	h, err := subgraph.ParsePattern(spec.Pattern)
-	if err != nil {
-		return "", err
-	}
-	opts, err := spec.Options.Options()
-	if err != nil {
-		return "", err
-	}
-	count := false
-	switch spec.Mode {
-	case "", ModeDetect:
-	case ModeCount:
-		if _, ok := kernel.CliqueSize(h); !ok {
-			return "", fmt.Errorf("serve: pattern %q is not kernel-countable", spec.Pattern)
-		}
-		count = true
-	default:
-		return "", fmt.Errorf("serve: unknown mode %q", spec.Mode)
-	}
-	return cacheKey(spec.Graph, h, subgraph.OptionsSpecOf(opts), count), nil
 }

@@ -20,10 +20,10 @@ func flakyHandler(fail int, failStatus int, header http.Header) (http.Handler, *
 					w.Header().Add(k, v)
 				}
 			}
-			writeErr(w, failStatus, "flaky: failure %d", n)
+			WriteErr(w, failStatus, "flaky: failure %d", n)
 			return
 		}
-		writeJSON(w, http.StatusOK, HealthView{Status: "ok"})
+		WriteJSON(w, http.StatusOK, HealthView{Status: "ok"})
 	}), &hits
 }
 
@@ -178,7 +178,7 @@ func TestClientDefaultRetries(t *testing.T) {
 // the default client rides through it.
 func TestChaosMiddleware(t *testing.T) {
 	okHandler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, HealthView{Status: "ok"})
+		WriteJSON(w, http.StatusOK, HealthView{Status: "ok"})
 	})
 	s := New(Config{})
 	ch := NewChaos(ChaosConfig{Seed: 7, Reject429: 0.3, Fail503: 0.2, LatencyRate: 0.2, LatencyMax: time.Millisecond}, s.Registry())

@@ -34,3 +34,20 @@ func ParseRetryAfter(v string, now time.Time) (time.Duration, bool) {
 	}
 	return 0, false
 }
+
+// MaxRetryAfterSeconds bounds every Retry-After a worker or router
+// emits, including one relayed from a worker's 429.
+const MaxRetryAfterSeconds = 30
+
+// RetryAfterSeconds estimates when a shed or bounced client should come
+// back: backlog jobs × mean service time over capacity parallel slots
+// (at least 1), rounded up and clamped to [1, MaxRetryAfterSeconds] so
+// the header is never a lie in either direction.
+func RetryAfterSeconds(backlog, capacity int, mean time.Duration) int {
+	if capacity < 1 {
+		capacity = 1
+	}
+	est := time.Duration(backlog) * mean / time.Duration(capacity)
+	secs := int((est + time.Second - 1) / time.Second)
+	return min(max(secs, 1), MaxRetryAfterSeconds)
+}

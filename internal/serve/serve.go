@@ -483,20 +483,9 @@ func (s *Server) clearInflight(j *job) {
 }
 
 // retryAfterSeconds estimates when a shed or bounced client should come
-// back: current backlog × mean service time over the worker budget,
-// clamped to [1s, 30s] so the header is never a lie in either direction.
+// back: the queue's backlog over the worker budget.
 func (s *Server) retryAfterSeconds() int {
-	backlog := len(s.queue) + 1
-	mean := s.slo.meanLatency()
-	est := time.Duration(backlog) * mean / time.Duration(s.cfg.Workers)
-	secs := int((est + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
+	return RetryAfterSeconds(len(s.queue)+1, s.cfg.Workers, s.slo.meanLatency())
 }
 
 // jobByID returns the tracked job, or nil.

@@ -330,8 +330,8 @@ func (g *sloGuard) meanLatency() time.Duration {
 	return 100 * time.Millisecond
 }
 
-// displayPriority names a priority for error messages ("" → "normal").
-func displayPriority(p string) string {
+// DisplayPriority names a priority for error messages ("" → "normal").
+func DisplayPriority(p string) string {
 	if p == "" {
 		return PriorityNormal
 	}
