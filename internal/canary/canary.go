@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"subgraph"
 	"subgraph/internal/diffcheck"
@@ -177,6 +178,25 @@ func (c *Canary) Drain(ctx context.Context) error {
 
 // Divergences returns the alarm count.
 func (c *Canary) Divergences() int64 { return c.reg.Counter(MetricDivergence).Value() }
+
+// Finish drains the canary (for at most a minute) and logs its verdict
+// on logger: how many jobs were cross-checked, and how many diverged (0
+// on a healthy engine).
+func (c *Canary) Finish(logger *slog.Logger) (checked, divergences int64) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := c.Drain(ctx); err != nil {
+		logger.Warn("canary drain", "err", err)
+	}
+	checked, divergences = c.reg.Counter(MetricChecked).Value(), c.Divergences()
+	if divergences > 0 {
+		logger.Error("canary divergences found (repro artifacts written)",
+			"divergences", divergences, "checked", checked)
+	} else {
+		logger.Info("canary clean", "checked", checked, "divergences", 0)
+	}
+	return checked, divergences
+}
 
 // check replays one job and raises the alarm on any divergence.
 func (c *Canary) check(jd serve.JobDone) {

@@ -36,35 +36,28 @@ import (
 // handleGraphDelta routes POST /v1/graphs/{digest}/delta.
 func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 	if r.Draining() {
-		serve.WriteErr(w, http.StatusServiceUnavailable, "cluster is draining; submit elsewhere")
+		serve.WriteDraining(w)
 		return
 	}
 	parentDigest := req.PathValue("digest")
 	// Pin the mirrored parent across the round-trip: upload churn must not
 	// evict the graph the mirror-side apply and the heal path both need.
 	if !r.store.Pin(parentDigest) {
-		serve.WriteErr(w, http.StatusNotFound,
-			"unknown graph digest %q: the parent is not mirrored here; re-upload the base graph and resubmit the delta",
-			parentDigest)
+		serve.UnknownParent(parentDigest).Write(w)
 		return
 	}
 	defer r.store.Unpin(parentDigest)
 	parent, _ := r.store.Get(parentDigest)
 
-	payload, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxUploadBytes))
-	if err != nil {
-		serve.WriteErr(w, http.StatusRequestEntityTooLarge, "reading delta: %v", err)
+	// Decode here with the worker's own reader — the router needs the edge
+	// lists to update its mirror, and a malformed body should bounce here,
+	// not burn a forward — and forward the re-encoded request.
+	dreq, aerr := serve.ReadDelta(w, req, r.cfg.MaxUploadBytes)
+	if aerr != nil {
+		aerr.Write(w)
 		return
 	}
-	// Decode locally too — the router needs the edge lists to update its
-	// mirror, and a malformed body should bounce here, not burn a forward.
-	var dreq serve.DeltaRequest
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&dreq); err != nil {
-		serve.WriteErr(w, http.StatusBadRequest, "decoding delta: %v", err)
-		return
-	}
+	payload, _ := json.Marshal(dreq) // plain slices: cannot fail
 
 	status, body, applier := r.forwardDelta(req.Context(), parentDigest, payload)
 	if applier == nil {

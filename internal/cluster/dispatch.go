@@ -228,7 +228,7 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 
 	if r.Draining() {
 		r.reg.Counter(MetricJobsDraining).Inc()
-		serve.WriteErr(w, http.StatusServiceUnavailable, "cluster is draining; submit elsewhere")
+		serve.WriteDraining(w)
 		return
 	}
 	var spec serve.JobSpec

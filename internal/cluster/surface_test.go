@@ -151,6 +151,9 @@ func TestRouterSurfaceMatchesWorker(t *testing.T) {
 	}
 	fresh, _ := testEdgeList(t, 42)
 	oversize := bytes.Repeat([]byte("0 1\n"), surfaceMaxUpload)
+	delta := []byte(`{"insert":[[0,1]]}`)
+	deltaPath := fixedPath("/v1/graphs/" + digest + "/delta")
+	oversizeDelta := []byte(`{"insert":[` + strings.Repeat("[0,1],", surfaceMaxUpload) + `[0,1]]}`)
 
 	cases := []surfaceCase{
 		{name: "healthz ok", path: fixedPath("/healthz")},
@@ -166,6 +169,9 @@ func TestRouterSurfaceMatchesWorker(t *testing.T) {
 		{name: "graph info unknown", path: fixedPath("/v1/graphs/feedface"), status: http.StatusNotFound},
 		{name: "graph edgelist", path: fixedPath("/v1/graphs/" + digest + "/edgelist"), compare: compareRaw},
 		{name: "graph edgelist unknown", path: fixedPath("/v1/graphs/feedface/edgelist"), status: http.StatusNotFound},
+		{name: "delta over byte limit", method: http.MethodPost, path: deltaPath, body: oversizeDelta, status: http.StatusRequestEntityTooLarge},
+		{name: "delta unknown parent", method: http.MethodPost, path: fixedPath("/v1/graphs/feedface/delta"), body: delta, status: http.StatusNotFound},
+		{name: "delta malformed", method: http.MethodPost, path: deltaPath, body: []byte(`{"insert":`), status: http.StatusBadRequest},
 		{name: "healthz shards", path: fixedPath("/healthz")},
 		{name: "metrics prom", path: fixedPath("/metrics?format=prom"), compare: compareProm},
 	}
@@ -188,6 +194,9 @@ func TestRouterSurfaceMatchesWorker(t *testing.T) {
 	solo.Server.BeginDrain()
 	runSurfaceCases(t, c.BaseURL, solo.BaseURL, "", "", []surfaceCase{
 		{name: "healthz draining", path: fixedPath("/healthz"), status: http.StatusServiceUnavailable},
+		{name: "submit while draining", method: http.MethodPost, path: fixedPath("/v1/jobs"),
+			body: []byte(`{"graph":"` + digest + `","pattern":"triangle"}`), status: http.StatusServiceUnavailable},
+		{name: "delta while draining", method: http.MethodPost, path: deltaPath, body: delta, status: http.StatusServiceUnavailable},
 	})
 }
 

@@ -33,10 +33,6 @@ type goldenDetector struct {
 	g    *graph.Graph
 	seed int64
 	run  func(nw *congest.Network, ro RunOptions) (*Outcome, error)
-	// skipCorrupt leaves out the fault plans that corrupt payloads. The
-	// LOCAL detector writes its edge set in map order, so which edge a
-	// flipped bit lands on differs from run to run.
-	skipCorrupt bool
 }
 
 func goldenTree(name string, g, tree *graph.Graph, reps int, coloring func(congest.NodeID, int) int) goldenDetector {
@@ -141,7 +137,7 @@ func goldenExact() []goldenDetector {
 				cfg := CollectConfig{H: graph.CompleteBipartite(2, 3), RunOptions: ro}
 				return OutcomeOf(DetectCollect(nw, cfg))
 			}},
-		{name: "local/C5", g: c5Host, seed: 3, skipCorrupt: true,
+		{name: "local/C5", g: c5Host, seed: 3,
 			run: func(nw *congest.Network, ro RunOptions) (*Outcome, error) {
 				return OutcomeOf(DetectLocal(nw, LocalConfig{H: graph.Cycle(5), RunOptions: ro}))
 			}},
@@ -179,9 +175,6 @@ func goldenMatrix(t *testing.T) []byte {
 					engine = "par"
 				}
 				for _, f := range faults {
-					if d.skipCorrupt && f.plan != nil && f.plan.CorruptRate > 0 {
-						continue
-					}
 					line := goldenLine{Case: fmt.Sprintf("%s/%s/%s/%s", d.name, n.name, engine, f.name)}
 					out, err := d.run(n.nw, RunOptions{Seed: d.seed, Parallel: parallel, Faults: f.plan})
 					if out != nil {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"subgraph/internal/bitio"
 	"subgraph/internal/congest"
@@ -43,11 +45,20 @@ func (ln *localNode) Init(env *congest.Env) {
 	ln.known = make(map[edgeKey]struct{})
 }
 
-// encodeEdges writes the full known edge set as (count, pairs...).
+// encodeEdges writes the full known edge set as (count, pairs...), the
+// pairs in sorted (a, b) order so the payload, and which edge a
+// corrupting fault plan flips, is the same on every run.
 func (ln *localNode) encodeEdges() bitio.BitString {
-	w := bitio.NewWriter()
-	w.WriteUint(uint64(len(ln.known)), 32)
+	edges := make([]edgeKey, 0, len(ln.known))
 	for e := range ln.known {
+		edges = append(edges, e)
+	}
+	slices.SortFunc(edges, func(x, y edgeKey) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
+	})
+	w := bitio.NewWriter()
+	w.WriteUint(uint64(len(edges)), 32)
+	for _, e := range edges {
 		w.WriteUint(uint64(e.a), ln.idBits)
 		w.WriteUint(uint64(e.b), ln.idBits)
 	}

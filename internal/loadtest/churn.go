@@ -1,4 +1,4 @@
-package serve
+package loadtest
 
 import (
 	"bytes"
@@ -11,6 +11,7 @@ import (
 
 	"subgraph"
 	"subgraph/internal/graph"
+	"subgraph/internal/serve"
 )
 
 // Churn workload: a long-lived graph evolves through a chain of small
@@ -43,7 +44,7 @@ type ChurnConfig struct {
 	// Seed drives graph generation and the delta stream.
 	Seed int64
 	// Retry overrides the client's retry policy (nil = defaults).
-	Retry *RetryPolicy
+	Retry *serve.RetryPolicy
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -164,7 +165,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	c := &Client{Base: cfg.BaseURL, HTTPClient: &http.Client{Timeout: 60 * time.Second}, Retry: cfg.Retry}
+	c := &serve.Client{Base: cfg.BaseURL, HTTPClient: &http.Client{Timeout: 60 * time.Second}, Retry: cfg.Retry}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	cur := subgraph.GNP(cfg.GraphN, cfg.Degree/float64(cfg.GraphN-1), rng)
@@ -180,19 +181,19 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 
 	// Prime the lineage: a count job on the base seeds the cache entry the
 	// first delta's watch evaluation chains from.
-	jv, status, err := c.SubmitJob(JobSpec{Graph: up.Digest, Pattern: cfg.Pattern, Mode: ModeCount})
+	jv, status, err := c.SubmitJob(serve.JobSpec{Graph: up.Digest, Pattern: cfg.Pattern, Mode: serve.ModeCount})
 	if err != nil {
 		return nil, fmt.Errorf("churn: priming count job: %w", err)
 	}
 	if status != http.StatusOK && status != http.StatusAccepted {
 		return nil, fmt.Errorf("churn: priming count job: HTTP %d", status)
 	}
-	if jv.State != StateDone {
+	if jv.State != serve.StateDone {
 		if jv, err = c.WaitJob(jv.ID, 60*time.Second); err != nil {
 			return nil, fmt.Errorf("churn: priming count job: %w", err)
 		}
 	}
-	if jv.State != StateDone || jv.Result == nil || jv.Result.Count == nil {
+	if jv.State != serve.StateDone || jv.Result == nil || jv.Result.Count == nil {
 		return nil, fmt.Errorf("churn: priming count job ended %s (%s)", jv.State, jv.Error)
 	}
 
@@ -208,7 +209,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		// along. End-to-end wall covers request, successor build, cache
 		// forwarding, and the incremental recount.
 		t0 := time.Now()
-		dv, status, err := c.ApplyDelta(curDigest, DeltaRequest{
+		dv, status, err := c.ApplyDelta(curDigest, serve.DeltaRequest{
 			Insert: d.Insert, Delete: d.Delete, Watch: []string{cfg.Pattern},
 		})
 		dt := time.Since(t0).Nanoseconds()
@@ -259,20 +260,20 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("churn step %d: uploading twin: %w", step, err)
 		}
-		sj, status, err := c.SubmitJob(JobSpec{Graph: tup.Digest, Pattern: cfg.Pattern, Mode: ModeCount})
+		sj, status, err := c.SubmitJob(serve.JobSpec{Graph: tup.Digest, Pattern: cfg.Pattern, Mode: serve.ModeCount})
 		if err != nil {
 			return nil, fmt.Errorf("churn step %d: scratch count: %w", step, err)
 		}
 		if status != http.StatusOK && status != http.StatusAccepted {
 			return nil, fmt.Errorf("churn step %d: scratch count HTTP %d", step, status)
 		}
-		if sj.State != StateDone {
+		if sj.State != serve.StateDone {
 			if sj, err = c.WaitJob(sj.ID, 60*time.Second); err != nil {
 				return nil, fmt.Errorf("churn step %d: scratch count: %w", step, err)
 			}
 		}
 		st := time.Since(t1).Nanoseconds()
-		if sj.State != StateDone || sj.Result == nil || sj.Result.Count == nil {
+		if sj.State != serve.StateDone || sj.Result == nil || sj.Result.Count == nil {
 			return nil, fmt.Errorf("churn step %d: scratch count ended %s (%s)", step, sj.State, sj.Error)
 		}
 		scratchNs = append(scratchNs, st)

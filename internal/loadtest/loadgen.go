@@ -1,4 +1,10 @@
-package serve
+// Package loadtest drives a running subgraphd daemon or cluster router
+// from the outside: the seeded job-mix load generator (RunLoadGen), the
+// evolving-graph churn workload (RunChurn), the end-to-end self-check
+// (SelfCheck), and a client-side fault injector (Chaos). It reaches the
+// daemon only through serve's exported client, wire types and metric
+// names, so it exercises exactly the surface a remote client sees.
+package loadtest
 
 import (
 	"bytes"
@@ -12,6 +18,7 @@ import (
 
 	"subgraph"
 	"subgraph/internal/graph"
+	"subgraph/internal/serve"
 )
 
 // LoadGenConfig tunes the load harness.
@@ -47,7 +54,11 @@ type LoadGenConfig struct {
 	// keeps the historical cold-cache behavior.
 	Warmup int
 	// Retry overrides the client's retry policy (nil = defaults).
-	Retry *RetryPolicy
+	Retry *serve.RetryPolicy
+	// Chaos, when set, puts a seeded fault injector on the client's
+	// transport; the result's Chaos* columns count what it injected
+	// during the measured section.
+	Chaos *ChaosConfig
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 	// Nodes and Replication describe the cluster topology behind BaseURL
@@ -130,7 +141,7 @@ type LoadGenResult struct {
 	Retries         int64   `json:"client_retries"`
 	Recovered       int64   `json:"client_recovered"`
 	RetrySuccessPct float64 `json:"client_retry_success_pct"`
-	// Chaos injection counters (zero when no chaos middleware is wired).
+	// Chaos injection counters (zero without LoadGenConfig.Chaos).
 	Chaos429    int64 `json:"chaos_429"`
 	Chaos503    int64 `json:"chaos_503"`
 	ChaosDelays int64 `json:"chaos_delays"`
@@ -232,7 +243,7 @@ func (r *LoadGenResult) BenchReport() any {
 // fillBreakdown computes the queue-wait / engine / cache-hit-path latency
 // percentiles from the server's recorded span timelines. Best-effort: a
 // server without a flight recorder yields zero rows, not an error.
-func fillBreakdown(res *LoadGenResult, c *Client, logf func(string, ...any)) {
+func fillBreakdown(res *LoadGenResult, c *serve.Client, logf func(string, ...any)) {
 	dj, err := c.DebugJobs()
 	if err != nil {
 		logf("breakdown skipped: %v", err)
@@ -240,7 +251,7 @@ func fillBreakdown(res *LoadGenResult, c *Client, logf func(string, ...any)) {
 	}
 	var qwait, engine, cachehit, kern []int64
 	for _, tl := range dj.Timelines {
-		if tl.Outcome != StateDone {
+		if tl.Outcome != serve.StateDone {
 			continue
 		}
 		res.BreakdownTimelines++
@@ -292,18 +303,27 @@ func RunLoadGen(cfg LoadGenConfig) (*LoadGenResult, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	c := &Client{Base: cfg.BaseURL, HTTPClient: &http.Client{Timeout: 60 * time.Second}, Retry: cfg.Retry}
+	hc := &http.Client{Timeout: 60 * time.Second}
+	var chaos *Chaos
+	if cfg.Chaos != nil {
+		chaos = NewChaos(*cfg.Chaos)
+		hc.Transport = chaos
+	}
+	c := &serve.Client{Base: cfg.BaseURL, HTTPClient: hc, Retry: cfg.Retry}
 
 	// Seeded topology mix: GNP backgrounds with planted triangles,
 	// 4-cycles, and 4-cliques so every pattern in the job mix has both
 	// positive and negative instances.
 	// Uploads are few and abort the whole run on failure, so they get a
 	// more patient policy than the per-job submissions.
-	uploadPolicy := c.policy()
+	uploadPolicy := serve.DefaultRetryPolicy()
+	if cfg.Retry != nil {
+		uploadPolicy = *cfg.Retry
+	}
 	if uploadPolicy.MaxAttempts < 8 {
 		uploadPolicy.MaxAttempts = 8
 	}
-	uc := &Client{Base: cfg.BaseURL, HTTPClient: c.HTTPClient, Retry: &uploadPolicy}
+	uc := &serve.Client{Base: cfg.BaseURL, HTTPClient: c.HTTPClient, Retry: &uploadPolicy}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	digests := make([]string, 0, cfg.Graphs)
@@ -331,25 +351,25 @@ func RunLoadGen(cfg LoadGenConfig) (*LoadGenResult, error) {
 
 	patterns := []string{"triangle", "cycle:4", "clique:4", "path:4", "star:3"}
 	countPatterns := []string{"triangle", "clique:4", "clique:5"}
-	specs := make([]JobSpec, cfg.Jobs)
+	specs := make([]serve.JobSpec, cfg.Jobs)
 	for i := range specs {
 		if i > 0 && rng.Float64() < cfg.RepeatFraction {
 			specs[i] = specs[rng.Intn(i)] // verbatim repeat → cache exercise
 			continue
 		}
-		specs[i] = JobSpec{
+		specs[i] = serve.JobSpec{
 			Graph:   digests[rng.Intn(len(digests))],
 			Pattern: patterns[rng.Intn(len(patterns))],
 			Options: subgraph.OptionsSpec{Seed: int64(rng.Intn(16))},
 		}
 		if rng.Float64() < cfg.LowPriorityFraction {
-			specs[i].Priority = PriorityLow
+			specs[i].Priority = serve.PriorityLow
 		}
 		// Short-circuit keeps the rng stream untouched at CountFraction 0,
 		// so historical seeds still replay their exact mixes.
 		if cfg.CountFraction > 0 && rng.Float64() < cfg.CountFraction {
 			specs[i].Pattern = countPatterns[rng.Intn(len(countPatterns))]
-			specs[i].Mode = ModeCount
+			specs[i].Mode = serve.ModeCount
 		}
 	}
 
@@ -357,7 +377,7 @@ func RunLoadGen(cfg LoadGenConfig) (*LoadGenResult, error) {
 	// kernel scratch reach steady state before the metrics snapshot. A
 	// dedicated client keeps warm-up retries out of the measured stats.
 	if cfg.Warmup > 0 {
-		wc := &Client{Base: cfg.BaseURL, HTTPClient: c.HTTPClient, Retry: cfg.Retry}
+		wc := &serve.Client{Base: cfg.BaseURL, HTTPClient: c.HTTPClient, Retry: cfg.Retry}
 		var wwg sync.WaitGroup
 		wnext := make(chan int)
 		for w := 0; w < cfg.Concurrency; w++ {
@@ -369,7 +389,7 @@ func RunLoadGen(cfg LoadGenConfig) (*LoadGenResult, error) {
 					if err != nil || (status != http.StatusOK && status != http.StatusAccepted) {
 						continue
 					}
-					if jv.State != StateDone && jv.State != StateFailed {
+					if jv.State != serve.StateDone && jv.State != serve.StateFailed {
 						_, _ = wc.WaitJob(jv.ID, 60*time.Second)
 					}
 				}
@@ -387,6 +407,7 @@ func RunLoadGen(cfg LoadGenConfig) (*LoadGenResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	chaos429, chaos503, chaosDelays := chaos.counts()
 
 	latencies := make([]int64, cfg.Jobs)
 	var errs, shed int64
@@ -418,10 +439,10 @@ func RunLoadGen(cfg LoadGenConfig) (*LoadGenResult, error) {
 					mu.Unlock()
 					continue
 				}
-				if jv.State != StateDone && jv.State != StateFailed {
+				if jv.State != serve.StateDone && jv.State != serve.StateFailed {
 					jv, err = c.WaitJob(jv.ID, 60*time.Second)
 				}
-				if err != nil || jv.State != StateDone {
+				if err != nil || jv.State != serve.StateDone {
 					mu.Lock()
 					errs++
 					mu.Unlock()
@@ -476,22 +497,21 @@ func RunLoadGen(cfg LoadGenConfig) (*LoadGenResult, error) {
 		res.P99Ns = percentile(ok, 99)
 		res.JobsPerSec = float64(len(ok)) / wall.Seconds()
 	}
-	res.CacheHits = after.Metrics.Counters[MetricCacheHits] - before.Metrics.Counters[MetricCacheHits]
-	res.CacheMisses = after.Metrics.Counters[MetricCacheMisses] - before.Metrics.Counters[MetricCacheMisses]
+	res.CacheHits = after.Metrics.Counters[serve.MetricCacheHits] - before.Metrics.Counters[serve.MetricCacheHits]
+	res.CacheMisses = after.Metrics.Counters[serve.MetricCacheMisses] - before.Metrics.Counters[serve.MetricCacheMisses]
 	if total := res.CacheHits + res.CacheMisses; total > 0 {
 		res.HitRatePct = 100 * float64(res.CacheHits) / float64(total)
 	}
 	delta := func(name string) int64 {
 		return after.Metrics.Counters[name] - before.Metrics.Counters[name]
 	}
-	res.ServerSheds = delta(MetricJobsShed)
-	res.Chaos429 = delta(MetricChaos429)
-	res.Chaos503 = delta(MetricChaos503)
-	res.ChaosDelays = delta(MetricChaosDelay)
-	res.KernelRuns = delta(MetricKernelRuns)
-	res.KernelJobs = delta(MetricKernelJobs)
-	res.JobsBatched = delta(MetricJobsBatched)
-	res.PressureBatched = delta(MetricJobsPressureBatched)
+	res.ServerSheds = delta(serve.MetricJobsShed)
+	after429, after503, afterDelays := chaos.counts()
+	res.Chaos429, res.Chaos503, res.ChaosDelays = after429-chaos429, after503-chaos503, afterDelays-chaosDelays
+	res.KernelRuns = delta(serve.MetricKernelRuns)
+	res.KernelJobs = delta(serve.MetricKernelJobs)
+	res.JobsBatched = delta(serve.MetricJobsBatched)
+	res.PressureBatched = delta(serve.MetricJobsPressureBatched)
 	fillBreakdown(res, c, logf)
 	logf("replayed %d jobs in %v: %.1f jobs/s, p50 %v, p99 %v, cache hit rate %.1f%%, %d shed, %d retries (%.1f%% recovered), %d errors",
 		res.Jobs, wall.Round(time.Millisecond), res.JobsPerSec,

@@ -1,4 +1,4 @@
-package serve
+package loadtest
 
 import (
 	"bytes"
@@ -10,6 +10,7 @@ import (
 
 	"subgraph"
 	"subgraph/internal/graph"
+	"subgraph/internal/serve"
 )
 
 // SelfCheckOptions tunes SelfCheck.
@@ -42,7 +43,7 @@ func SelfCheck(baseURL string, opt SelfCheckOptions) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	c := &Client{Base: baseURL}
+	c := &serve.Client{Base: baseURL}
 
 	// 1. Health.
 	if h, status, err := c.Health(); err != nil || status != http.StatusOK || h.Status != "ok" {
@@ -70,7 +71,7 @@ func SelfCheck(baseURL string, opt SelfCheckOptions) error {
 	logf("uploaded graph %s (n=%d m=%d)", up.Digest[:12], up.N, up.M)
 
 	// 3. Triangle job vs the library call.
-	spec := JobSpec{
+	spec := serve.JobSpec{
 		Graph:   up.Digest,
 		Pattern: "triangle",
 		Options: subgraph.OptionsSpec{Seed: 7},
@@ -86,7 +87,7 @@ func SelfCheck(baseURL string, opt SelfCheckOptions) error {
 	if err != nil {
 		return err
 	}
-	if jv.State != StateDone || jv.Result == nil {
+	if jv.State != serve.StateDone || jv.Result == nil {
 		return fmt.Errorf("selfcheck: job %s finished %s (%s)", jv.ID, jv.State, jv.Error)
 	}
 
@@ -131,7 +132,7 @@ func SelfCheck(baseURL string, opt SelfCheckOptions) error {
 	if err != nil {
 		return fmt.Errorf("selfcheck: resubmit: %w", err)
 	}
-	if status != http.StatusOK || !jv2.Cached || jv2.State != StateDone {
+	if status != http.StatusOK || !jv2.Cached || jv2.State != serve.StateDone {
 		return fmt.Errorf("selfcheck: resubmit not served from cache (HTTP %d, cached=%v, state=%s)",
 			status, jv2.Cached, jv2.State)
 	}
@@ -142,10 +143,10 @@ func SelfCheck(baseURL string, opt SelfCheckOptions) error {
 	if err != nil {
 		return err
 	}
-	if hits := after.Metrics.Counters[MetricCacheHits] - before.Metrics.Counters[MetricCacheHits]; hits != 1 {
+	if hits := after.Metrics.Counters[serve.MetricCacheHits] - before.Metrics.Counters[serve.MetricCacheHits]; hits != 1 {
 		return fmt.Errorf("selfcheck: cache hit counter moved by %d, want 1", hits)
 	}
-	if runs := after.Metrics.Counters[MetricDetectRuns] - before.Metrics.Counters[MetricDetectRuns]; runs != 0 {
+	if runs := after.Metrics.Counters[serve.MetricDetectRuns] - before.Metrics.Counters[serve.MetricDetectRuns]; runs != 0 {
 		return fmt.Errorf("selfcheck: engine ran %d times for a cached job, want 0", runs)
 	}
 	logf("resubmit served from cache; engine not re-run")
@@ -161,7 +162,7 @@ func SelfCheck(baseURL string, opt SelfCheckOptions) error {
 // selfCheckSaturate asserts 429 admission control against a server started
 // with -workers 1 -queue 1: one slow job occupies the worker, one fills
 // the queue, and a third must be rejected with Retry-After.
-func selfCheckSaturate(c *Client, logf func(string, ...any)) error {
+func selfCheckSaturate(c *serve.Client, logf func(string, ...any)) error {
 	// A deliberately heavy job: linear-round clique detection on a dense
 	// 220-vertex graph takes long enough (hundreds of ms) that two more
 	// submissions land while it runs.
@@ -175,8 +176,8 @@ func selfCheckSaturate(c *Client, logf func(string, ...any)) error {
 	if err != nil {
 		return fmt.Errorf("selfcheck: saturate upload: %w", err)
 	}
-	slow := func(seed int64) JobSpec {
-		return JobSpec{
+	slow := func(seed int64) serve.JobSpec {
+		return serve.JobSpec{
 			Graph:   up.Digest,
 			Pattern: "clique:4",
 			Options: subgraph.OptionsSpec{Seed: seed},
@@ -184,7 +185,7 @@ func selfCheckSaturate(c *Client, logf func(string, ...any)) error {
 	}
 	// Raw statuses are the point here: a retrying client would wait out
 	// the saturation we are trying to observe.
-	raw := &Client{Base: c.Base, HTTPClient: c.HTTPClient, Retry: NoRetry()}
+	raw := &serve.Client{Base: c.Base, HTTPClient: c.HTTPClient, Retry: serve.NoRetry()}
 	var ids []string
 	saw429 := false
 	for seed := int64(1); seed <= 3; seed++ {

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -98,28 +100,48 @@ func deltaStatus(reason string) int {
 	}
 }
 
+// UnknownParent is the 404 for a delta against a digest the store does
+// not hold.
+func UnknownParent(digest string) *APIError {
+	return &APIError{Status: http.StatusNotFound, Msg: fmt.Sprintf(
+		"unknown graph digest %q: the parent was evicted or never uploaded; re-upload the base graph and resubmit the delta", digest)}
+}
+
+// ReadDelta reads a delta body of at most maxBytes (413 beyond, as for
+// uploads) and decodes it strictly (400 on malformed JSON or unknown
+// fields).
+func ReadDelta(w http.ResponseWriter, r *http.Request, maxBytes int64) (DeltaRequest, *APIError) {
+	var req DeltaRequest
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	if err != nil {
+		return req, &APIError{Status: http.StatusRequestEntityTooLarge, Msg: fmt.Sprintf("reading delta: %v", err)}
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, badRequest(fmt.Sprintf("decoding delta: %v", err))
+	}
+	return req, nil
+}
+
 func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		WriteErr(w, http.StatusServiceUnavailable, "server is draining; submit elsewhere")
+		WriteDraining(w)
 		return
 	}
 	parentDigest := r.PathValue("digest")
 	// Pin the parent for the duration: a concurrent churn of uploads must
 	// not evict it between validation and application.
 	if !s.store.Pin(parentDigest) {
-		WriteErr(w, http.StatusNotFound,
-			"unknown graph digest %q: the parent was evicted or never uploaded; re-upload the base graph and resubmit the delta",
-			parentDigest)
+		UnknownParent(parentDigest).Write(w)
 		return
 	}
 	defer s.store.Unpin(parentDigest)
 	parent, _ := s.store.Get(parentDigest)
 
-	var req DeltaRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		WriteErr(w, http.StatusBadRequest, "decoding delta: %v", err)
+	req, aerr := ReadDelta(w, r, s.cfg.MaxUploadBytes)
+	if aerr != nil {
+		aerr.Write(w)
 		return
 	}
 	d := graph.EdgeDelta{Insert: req.Insert, Delete: req.Delete}

@@ -157,6 +157,12 @@ func WriteErr(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// WriteDraining is a draining node's 503 to a submission or delta, the
+// same from a worker and a router.
+func WriteDraining(w http.ResponseWriter) {
+	WriteErr(w, http.StatusServiceUnavailable, "server is draining; submit elsewhere")
+}
+
 // WriteHealth answers /healthz with v: 200 "ok", or 503 "draining" — the
 // 503 tells orchestrators (and the cluster router's prober) to stop
 // routing, and its body tells "draining" from "dead".
@@ -290,7 +296,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 	if s.Draining() {
 		s.reg.Counter(MetricJobsDraining).Inc()
-		WriteErr(w, http.StatusServiceUnavailable, "server is draining; submit elsewhere")
+		WriteDraining(w)
 		return
 	}
 	// Admission covers decode + validation + store lookups — everything
@@ -394,7 +400,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.unregister(j)
 		s.releaseJobPin(j)
 		s.reg.Counter(MetricJobsDraining).Inc()
-		WriteErr(w, http.StatusServiceUnavailable, "server is draining; submit elsewhere")
+		WriteDraining(w)
 		return
 	case !queued:
 		s.unregister(j)

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -386,84 +384,5 @@ func TestClientSubmitFlightRecorder(t *testing.T) {
 	btl := bc.Flight.Find(bc.Stats.View().LastTraceID)
 	if btl == nil || btl.Outcome != "bounced" || btl.JobID != "" {
 		t.Fatalf("bounced submission timeline: %+v", btl)
-	}
-}
-
-// TestChaosLoadGenTimelines is the end-to-end acceptance run: under
-// fault injection, every job the load generator completed is retrievable
-// from /debug/jobs/{id} with a monotonic admission→response timeline
-// whose total equals the latency the job view reports.
-func TestChaosLoadGenTimelines(t *testing.T) {
-	s := New(Config{Workers: 4, FlightRecorderSize: 4096})
-	s.Start()
-	chaos := NewChaos(ChaosConfig{
-		Seed: 1, Reject429: 0.05, Fail503: 0.05, LatencyRate: 0.2, LatencyMax: 2 * time.Millisecond,
-	}, s.reg)
-	ts := httptest.NewServer(chaos.Middleware(s.Handler()))
-	t.Cleanup(ts.Close)
-
-	fast := RetryPolicy{
-		MaxAttempts: 5,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    20 * time.Millisecond,
-		// Injected 429s carry Retry-After: 1; honoring a full second per
-		// retry would dominate the test's wall clock.
-		MaxRetryAfter: 20 * time.Millisecond,
-	}
-	res, err := RunLoadGen(LoadGenConfig{
-		BaseURL: ts.URL, Jobs: 30, Concurrency: 4, Seed: 1, Graphs: 3, GraphN: 40,
-		Retry: &fast,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Jobs == 0 {
-		t.Fatal("chaos run completed no jobs")
-	}
-	if res.BreakdownTimelines < res.Jobs {
-		t.Fatalf("breakdown covered %d timelines for %d completed jobs", res.BreakdownTimelines, res.Jobs)
-	}
-	if res.EngineP99Ns < res.EngineP50Ns || res.QueueWaitP99Ns < res.QueueWaitP50Ns {
-		t.Fatalf("implausible breakdown percentiles: %+v", res)
-	}
-
-	c := &Client{Base: ts.URL, Retry: &fast}
-	dj, err := c.DebugJobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var done int
-	for _, tl := range dj.Timelines {
-		if tl.Outcome != StateDone {
-			continue
-		}
-		done++
-		full, err := c.DebugJob(tl.JobID)
-		if err != nil {
-			t.Fatalf("completed job %s not retrievable: %v", tl.JobID, err)
-		}
-		jv, err := c.Job(tl.JobID)
-		if err != nil {
-			t.Fatalf("completed job %s not pollable: %v", tl.JobID, err)
-		}
-		if full.TotalNs != jv.LatencyNs {
-			t.Fatalf("job %s: timeline total %d != reported latency %d", tl.JobID, full.TotalNs, jv.LatencyNs)
-		}
-		if lookup := full.SpanByName("cache_lookup"); lookup != nil {
-			if v, _ := lookup.Annotation("result"); v == "hit" {
-				phaseOrder(t, full, "admission", "cache_lookup")
-				continue
-			}
-		}
-		phaseOrder(t, full, "admission", "cache_lookup", "queue_wait", "engine_run", "response")
-	}
-	if done < res.Jobs {
-		t.Fatalf("recorder holds %d done timelines, loadgen completed %d", done, res.Jobs)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if _, err := s.Drain(ctx); err != nil {
-		t.Fatal(err)
 	}
 }

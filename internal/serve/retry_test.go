@@ -173,40 +173,3 @@ func TestClientDefaultRetries(t *testing.T) {
 		t.Fatalf("zero-value client against one 503: (%d, %v), want (200, nil)", status, err)
 	}
 }
-
-// TestChaosMiddleware drives the injector deterministically and checks
-// the default client rides through it.
-func TestChaosMiddleware(t *testing.T) {
-	okHandler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, HealthView{Status: "ok"})
-	})
-	s := New(Config{})
-	ch := NewChaos(ChaosConfig{Seed: 7, Reject429: 0.3, Fail503: 0.2, LatencyRate: 0.2, LatencyMax: time.Millisecond}, s.Registry())
-	ts := httptest.NewServer(ch.Middleware(okHandler))
-	defer ts.Close()
-
-	p, _ := fastPolicy(6)
-	c := &Client{Base: ts.URL, Retry: p}
-	for i := 0; i < 40; i++ {
-		if status, err := c.do("GET", "/v1/ping", "", nil, nil); err != nil || status != http.StatusOK {
-			t.Fatalf("request %d through chaos: (%d, %v)", i, status, err)
-		}
-	}
-	injected := s.Registry().Counter(MetricChaos429).Value() + s.Registry().Counter(MetricChaos503).Value()
-	if injected == 0 {
-		t.Fatal("chaos injected nothing over 40 requests at 50% combined rate")
-	}
-	// Health and metrics paths stay clean.
-	before := injected
-	for i := 0; i < 20; i++ {
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-	after := s.Registry().Counter(MetricChaos429).Value() + s.Registry().Counter(MetricChaos503).Value()
-	if after != before {
-		t.Fatal("chaos injected on a non-/v1/ path")
-	}
-}

@@ -21,8 +21,9 @@
 //     machinery, with a server-side cap so a hostile job cannot occupy a
 //     worker forever.
 //
-// The HTTP surface is in handlers.go, the job lifecycle in job.go, and
-// the load harness in loadgen.go.
+// The HTTP surface is in handlers.go and the job lifecycle in job.go.
+// Load generation, the self-check and fault injection live outside the
+// daemon, in internal/loadtest.
 package serve
 
 import (

@@ -537,41 +537,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	_ = s
 }
 
-func TestSelfCheck(t *testing.T) {
-	_, c := newTestServer(t, Config{})
-	if err := SelfCheck(c.Base, SelfCheckOptions{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadGenSmoke(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 4})
-	res, err := RunLoadGen(LoadGenConfig{
-		BaseURL: c.Base, Jobs: 30, Concurrency: 4, Seed: 1, Graphs: 3, GraphN: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Jobs != 30 || res.Errors != 0 {
-		t.Fatalf("loadgen: %d ok / %d errors, want 30/0", res.Jobs, res.Errors)
-	}
-	if res.CacheHits == 0 {
-		t.Error("loadgen mix produced no cache hits despite repeats")
-	}
-	if res.P50Ns <= 0 || res.P99Ns < res.P50Ns {
-		t.Fatalf("implausible percentiles: p50=%d p99=%d", res.P50Ns, res.P99Ns)
-	}
-	out, err := json.Marshal(res.BenchReport())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"ServeJobLatencyP50", "ServeJobThroughput", "ServeCacheHitRatePct", "benchreport-v1"} {
-		if !bytes.Contains(out, []byte(name)) {
-			t.Errorf("bench report missing %q:\n%s", name, out)
-		}
-	}
-}
-
 // rawSubmit posts a job spec and returns the raw response (body closed).
 func rawSubmit(t *testing.T, base string, spec JobSpec) *http.Response {
 	t.Helper()

@@ -2,7 +2,7 @@
 # End-to-end smoke test for the subgraphd cluster, run by CI and
 # `make cluster-smoke`:
 #
-#   1. build subgraphd;
+#   1. build subgraphd and subgraphload;
 #   2. start two worker daemons on ephemeral ports, then a router
 #      fronting them (digest routing, shared result cache, replication 2);
 #   3. run the self-check THROUGH the router: health, upload dedup +
@@ -36,6 +36,7 @@ wait_port() { # portfile -> prints bound address
 
 echo "== build"
 go build -o "$workdir/subgraphd" ./cmd/subgraphd
+go build -o "$workdir/subgraphload" ./cmd/subgraphload
 
 echo "== start 2 workers (ephemeral ports)"
 for i in 0 1; do
@@ -76,15 +77,15 @@ echo "$health" | grep -q '"role":"router"' || {
 }
 
 echo "== selfcheck through the router (byte-identical Stats)"
-if ! "$workdir/subgraphd" -selfcheck "http://$addr"; then
+if ! "$workdir/subgraphload" -selfcheck "http://$addr"; then
   echo "selfcheck via router failed; router log:" >&2
   cat "$workdir/router.log" >&2
   exit 1
 fi
 
 echo "== loadgen burst with a worker crash mid-run"
-"$workdir/subgraphd" -loadgen -target "http://$addr" \
-  -jobs 200 -concurrency 8 -seed 1 -out "$workdir/cluster_loadgen.json" \
+"$workdir/subgraphload" -target "http://$addr" \
+  -jobs 200 -seed 1 -out "$workdir/cluster_loadgen.json" \
   2>"$workdir/loadgen.log" &
 lgpid=$!
 sleep 0.7

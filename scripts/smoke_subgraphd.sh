@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the subgraphd daemon, run by CI and `make smoke`:
 #
-#   1. build subgraphd;
+#   1. build subgraphd and subgraphload;
 #   2. start it on an ephemeral port with a 1-worker/1-deep queue;
-#   3. run the self-check against it: health, upload dedup + digest
+#   3. run subgraphload's self-check against it: health, upload dedup + digest
 #      cross-check, a triangle job byte-identical to the library call,
 #      a cache hit on resubmission, and a 429 from queue saturation;
 #   4. SIGTERM the daemon and require a clean drain (exit 0).
@@ -15,6 +15,7 @@ trap 'rm -rf "$workdir"' EXIT
 
 echo "== build"
 go build -o "$workdir/subgraphd" ./cmd/subgraphd
+go build -o "$workdir/subgraphload" ./cmd/subgraphload
 
 echo "== start (ephemeral port, -workers 1 -queue 1)"
 "$workdir/subgraphd" -listen 127.0.0.1:0 -portfile "$workdir/port" \
@@ -34,7 +35,7 @@ fi
 echo "   daemon pid $daemon on $addr"
 
 echo "== selfcheck (with queue-saturation assertion)"
-if ! "$workdir/subgraphd" -selfcheck "http://$addr" -saturate; then
+if ! "$workdir/subgraphload" -selfcheck "http://$addr" -saturate; then
   echo "selfcheck failed; daemon log:" >&2
   cat "$workdir/serve.log" >&2
   kill "$daemon" 2>/dev/null || true
